@@ -10,8 +10,9 @@
 // retry-after; admitted-request latency must stay near the service time
 // instead of growing with the arrival backlog.
 //
-// Always emits BENCH_overload.json (override with --json <path>); --smoke
-// shrinks the feed, calibration, and per-point request counts for CI.
+// --json <path> writes the run as a JSON artifact (nothing is written
+// without it); --smoke shrinks the feed, calibration, and per-point request
+// counts for CI.
 //
 // The exit code reflects *structural* failures only — an undecodable
 // response, a disposition-counter identity violation, queue growth past
@@ -248,8 +249,7 @@ PointResult run_point(const serve::SnapshotRegistry& reg,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::CliOptions cli = bench::parse_cli(argc, argv);
-  if (!cli.json_path) cli.json_path = "BENCH_overload.json";
+  const bench::CliOptions cli = bench::parse_cli(argc, argv);
   const bench::BenchEnv env = bench::bench_env(cli);
   bench::print_banner("Overload — admission control under open-loop load",
                       env);

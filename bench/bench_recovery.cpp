@@ -9,8 +9,8 @@
 //    The checkpoint-cadence sweep shows the knob doing its job: a denser
 //    cadence bounds the WAL tail, so recovery time drops with it.
 //
-// Always emits BENCH_recovery.json (override with --json <path>); --smoke
-// shrinks the feed for CI.
+// --json <path> writes the run as a JSON artifact (nothing is written
+// without it); --smoke shrinks the feed for CI.
 
 #include <algorithm>
 #include <filesystem>
@@ -73,8 +73,7 @@ std::uint64_t dir_bytes(const std::string& dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::CliOptions cli = bench::parse_cli(argc, argv);
-  if (!cli.json_path) cli.json_path = "BENCH_recovery.json";
+  const bench::CliOptions cli = bench::parse_cli(argc, argv);
   const bench::BenchEnv env = bench::bench_env(cli);
   bench::print_banner("Durability — WAL/checkpoint overhead and recovery",
                       env);

@@ -4,9 +4,9 @@
 // reduction of PollenUS Hr-Hb — the paper's flagship PB-SYM instance
 // (6.97x over PB, Table 3).
 //
-// Always emits a machine-readable JSON artifact (default BENCH_scatter.json,
-// override with --json <path>) so the repo's perf trajectory accumulates
-// data run over run. --smoke shrinks the instance for CI.
+// --json <path> writes a machine-readable JSON artifact (nothing is written
+// without it; CI passes it so the perf trajectory accumulates data run over
+// run). --smoke shrinks the instance for CI.
 //
 // Timed region: the per-point scatter loop only (no grid init, no binning) —
 // this is the code path the tentpole rebuilt, and what Fig. 7-15 sit behind.
@@ -129,8 +129,7 @@ double modeled_lpt_speedup(const core::detail::TilePlan& plan,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::CliOptions cli = bench::parse_cli(argc, argv);
-  if (!cli.json_path) cli.json_path = "BENCH_scatter.json";
+  const bench::CliOptions cli = bench::parse_cli(argc, argv);
   const bench::BenchEnv env = bench::bench_env(cli);
   bench::print_banner("Scatter core — SIMD float/span core vs scalar reference",
                       env);

@@ -4,8 +4,8 @@
 // serve_frame -> decode — while a sharded writer ingests a live
 // sliding-window feed behind the snapshot registry.
 //
-// Always emits BENCH_serve.json (override with --json <path>); --smoke
-// shrinks the feed and query counts for CI.
+// --json <path> writes the run as a JSON artifact (nothing is written
+// without it); --smoke shrinks the feed and query counts for CI.
 
 #include <algorithm>
 #include <atomic>
@@ -78,8 +78,7 @@ std::vector<serve::wire::Frame> make_workload(const DomainSpec& dom) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::CliOptions cli = bench::parse_cli(argc, argv);
-  if (!cli.json_path) cli.json_path = "BENCH_serve.json";
+  const bench::CliOptions cli = bench::parse_cli(argc, argv);
   const bench::BenchEnv env = bench::bench_env(cli);
   bench::print_banner("Serve layer — concurrent query latency", env);
 

@@ -2,9 +2,9 @@
 // sharded IncrementalEstimator against the serial engine, on a dengue-style
 // surveillance feed (the paper's motivating "timely density" workload).
 //
-// Always emits BENCH_streaming.json (override with --json <path>) so the
-// streaming perf trajectory accumulates data run over run. --smoke shrinks
-// the feed for CI.
+// --json <path> writes the run as a JSON artifact (nothing is written
+// without it; CI passes it so the streaming perf trajectory accumulates
+// data run over run). --smoke shrinks the feed for CI.
 //
 // Methodology (as bench/common for the figure benches): alongside the real
 // measured wall time at each thread count, the artifact reports a *modeled*
@@ -61,8 +61,7 @@ double run_ingest(core::IncrementalEstimator& eng,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::CliOptions cli = bench::parse_cli(argc, argv);
-  if (!cli.json_path) cli.json_path = "BENCH_streaming.json";
+  const bench::CliOptions cli = bench::parse_cli(argc, argv);
   const bench::BenchEnv env = bench::bench_env(cli);
   bench::print_banner("Streaming engine — sharded sliding-window ingest", env);
 

@@ -5,11 +5,12 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
+#include <string_view>
 
 #include "geom/voxel_mapper.hpp"
 #include "partition/binning.hpp"
@@ -45,20 +46,47 @@ BenchEnv make_env(bool smoke) {
   return env;
 }
 
+void print_usage(std::ostream& os, const char* prog) {
+  os << "usage: " << prog << " [--json <path>] [--smoke] [--help]\n"
+     << "  --json <path>  write the run's tables as a JSON artifact to <path>\n"
+     << "                 (nothing is written without it)\n"
+     << "  --smoke        shrink the instances for a seconds-long run\n"
+     << "                 (same as STKDE_BENCH_FAST=1)\n"
+     << "  --help         print this usage and exit\n"
+     << "environment: STKDE_BENCH_FAST, STKDE_BENCH_SCALE, "
+        "STKDE_BENCH_THREADS,\n"
+     << "  STKDE_BENCH_MEMCAP, STKDE_BENCH_MAX_WORK (docs/BENCHMARKS.md)\n";
+}
+
+[[noreturn]] void usage_error(const char* prog, std::string_view what,
+                              std::string_view arg = {}) {
+  std::cerr << prog << ": " << what;
+  if (!arg.empty()) std::cerr << " '" << arg << "'";
+  std::cerr << "\n";
+  print_usage(std::cerr, prog);
+  std::exit(2);
+}
+
 }  // namespace
 
 CliOptions parse_cli(int argc, char** argv) {
+  const char* const prog = argc > 0 ? argv[0] : "bench";
   CliOptions cli;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
+    const std::string_view arg = argv[i];
+    if (arg == "--help") {
+      print_usage(std::cout, prog);
+      std::exit(0);
+    }
+    if (arg == "--smoke") {
       cli.smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
+    } else if (arg == "--json") {
       // Refuse to swallow a following flag as the path.
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        cli.json_path = argv[++i];
-      } else {
-        std::cerr << "warning: --json requires a path argument; ignoring\n";
-      }
+      if (i + 1 >= argc || argv[i + 1][0] == '-' || argv[i + 1][0] == '\0')
+        usage_error(prog, "--json requires a path");
+      cli.json_path = argv[++i];
+    } else {
+      usage_error(prog, "unknown argument", arg);
     }
   }
   return cli;
@@ -213,7 +241,7 @@ void print_banner(const std::string& title, const BenchEnv& env) {
             << util::format_bytes(util::MemoryBudget::instance().limit())
             << " memory budget\n"
             << "scaling: " << env.describe() << "\n"
-            << "(see EXPERIMENTS.md for the paper-vs-measured comparison)\n"
+            << "(see docs/BENCHMARKS.md for what each bench measures)\n"
             << "==================================================================\n";
 }
 

@@ -40,14 +40,19 @@ struct BenchEnv {
 
 /// CLI flags shared by every figure bench:
 ///   --json <path>  write the run's tables/records as a JSON artifact
+///                  (nothing is written without it)
 ///   --smoke        shrink the instance for a seconds-long CI run
 ///                  (equivalent to STKDE_BENCH_FAST=1)
-/// Unknown arguments are ignored so benches stay env-var driven.
+///   --help         print the usage and exit 0 before any work
+/// Every other knob is an environment variable (listed in the usage).
 struct CliOptions {
   std::optional<std::string> json_path;
   bool smoke = false;
 };
 
+/// Parse the shared flags. Anything else — an unknown flag, a stray
+/// argument, --json without a path — prints the usage on stderr and exits
+/// with status 2, so a typo can never start a full run.
 [[nodiscard]] CliOptions parse_cli(int argc, char** argv);
 
 /// Read the environment, apply the CLI, and build the bench configuration

@@ -14,15 +14,17 @@
 ///
 /// SIMD core (docs/SCATTER_CORE.md): scatter_sym/scatter_tables and
 /// scatter_disk iterate the spatial disk's per-row nonzero Y-spans — no
-/// per-voxel `ks == 0` branch — and their T-innermost loops are
-/// restrict-qualified `#pragma omp simd` walks over a contiguous run of the
-/// grid row: a pure float FMA for scatter_tables, a branchless per-voxel
-/// kt evaluation for scatter_disk (that redundancy is PB-DISK's defining
-/// cost). scatter_bar is row-major with T innermost too — its per-column
-/// spatial evaluation (PB-BAR's defining cost) multiplies against the
-/// contiguous temporal-table run, so its simd license is real. Kernels are
-/// concrete template parameters (dispatched once per run by with_kernel),
-/// so k.spatial/k.temporal inline into the table fill. scatter_sym_ref
+/// per-voxel `ks == 0` branch. scatter_tables, the stamp every PB-SYM-based
+/// strategy shares, holds a run of up to 32 voxels' temporal row in 4-lane
+/// registers and gives each (X, Y) column a fixed sequence of vector
+/// updates over its contiguous T-run; scatter_disk's T-innermost loop is a
+/// restrict-qualified `#pragma omp simd` walk with a branchless per-voxel
+/// kt evaluation (that redundancy is PB-DISK's defining cost). scatter_bar
+/// is row-major with T innermost too — its per-column spatial evaluation
+/// (PB-BAR's defining cost) multiplies against the contiguous temporal-table
+/// run, so its simd license is real. Kernels are concrete template
+/// parameters (dispatched once per run by with_kernel), so
+/// k.spatial/k.temporal inline into the table fill. scatter_sym_ref
 /// retains the pre-SIMD scalar double-precision loop as the correctness and
 /// performance baseline.
 ///
@@ -31,7 +33,11 @@
 /// statistics from the tables without reading stale values.
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 
 #include "geom/voxel_mapper.hpp"
 #include "grid/dense_grid.hpp"
@@ -156,14 +162,133 @@ bool scatter_bar(DenseGrid3<T>& grid, const Extent3& clip,
   return true;
 }
 
-/// The accumulation half of scatter_sym, reusable when the invariant tables
-/// are already filled (PB-SYM-DD recomputes tables per subdomain but then
-/// accumulates over the clipped extent with this same loop).
+#if defined(__GNUC__)
+/// The register-row float stamp below needs GCC/Clang vector extensions;
+/// elsewhere every run takes scatter_tables' vectorized loop (the same
+/// per-voxel arithmetic).
+#define STKDE_VECTOR_STAMP 1
+#else
+#define STKDE_VECTOR_STAMP 0
+#endif
+
+#if STKDE_VECTOR_STAMP
+namespace stamp {
+
+using f32x4 = float __attribute__((vector_size(16)));
+using f32x2 = float __attribute__((vector_size(8)));
+inline constexpr std::ptrdiff_t kLanes = 4;  ///< floats per f32x4
+
+template <typename V>
+[[gnu::always_inline]] inline V load(const float* p) {
+  V v{};
+  __builtin_memcpy(&v, p, sizeof v);
+  return v;
+}
+
+template <typename V>
+[[gnu::always_inline]] inline void store(float* p, V v) {
+  __builtin_memcpy(p, &v, sizeof v);
+}
+
+/// The temporal row of one stamp, N = 4Q + R floats, loaded into
+/// registers once and reused for every column of the stamp: Q 4-lane
+/// vectors plus the 2-lane and 1-lane tail.
+template <int N>
+class RegisterRow {
+ public:
+  explicit RegisterRow(const float* kt)
+      : RegisterRow(kt, std::make_integer_sequence<int, kQ>{}) {}
+
+  /// floor(N/4) 4-lane updates, then the exact tail: one 2-lane update when
+  /// N has bit 1, one 1-lane update when it has bit 0. Nothing is read or
+  /// written past the run — neighbouring T-splits (DD/PD subdomains) own
+  /// those cells.
+  [[gnu::always_inline]] void add_to(float* col, float ks) const {
+    add_body(col, ks, std::make_integer_sequence<int, kQ>{});
+    float* tail = col + kLanes * kQ;
+    if constexpr ((kR & 2) != 0) {
+      store(tail, load<f32x2>(tail) + ks * kt2_);
+      tail += 2;
+    }
+    if constexpr ((kR & 1) != 0) *tail += ks * kt1_;
+  }
+
+ private:
+  static constexpr int kQ = N / 4;
+  static constexpr int kR = N % 4;
+
+  template <int... J>
+  RegisterRow(const float* kt, std::integer_sequence<int, J...>)
+      : body_{load<f32x4>(kt + kLanes * J)...},
+        kt2_(kR & 2 ? load<f32x2>(kt + kLanes * kQ) : f32x2{}),
+        kt1_(kR & 1 ? kt[N - 1] : 0.0f) {}
+
+  template <int... J>
+  [[gnu::always_inline]] void add_body(float* col, float ks,
+                                       std::integer_sequence<int, J...>) const {
+    [[maybe_unused]] const f32x4 s = {ks, ks, ks, ks};  // unused when N < 4
+    ((store(col + kLanes * J, load<f32x4>(col + kLanes * J) + s * body_[J])),
+     ...);
+  }
+
+  f32x4 body_[kQ > 0 ? kQ : 1];
+  f32x2 kt2_;
+  float kt1_;
+};
+
+/// Longest T-run held in registers: eight 4-lane vectors (SSE2 has 16).
+inline constexpr std::int32_t kMaxRegisterRun = 32;
+
+/// One stamp of an N-voxel run: the row is loaded once, then the clipped
+/// disk's columns are walked by stepping a grid pointer by row_stride().
+template <int N>
+void stamp_columns(DenseGrid3<float>& grid, const Extent3& e,
+                   const kernels::SpatialInvariant& ks_tab,
+                   const float* kt_row) {
+  const RegisterRow<N> row(kt_row);
+  const std::int64_t stride = grid.row_stride();
+  const std::int64_t t_off = e.tlo - grid.extent().tlo;
+  for (std::int32_t X = e.xlo; X < e.xhi; ++X) {
+    const std::int32_t ys = std::max(e.ylo, ks_tab.y_span_lo(X));
+    const std::int32_t ye = std::min(e.yhi, ks_tab.y_span_hi(X));
+    if (ys >= ye) continue;
+    const float* ks = ks_tab.row(X) + (ys - ks_tab.y_lo());
+    float* col = grid.row(X, ys) + t_off;
+    for (std::int32_t n = ye - ys; n > 0; --n, ++ks, col += stride)
+      row.add_to(col, *ks);
+  }
+}
+
+using StampFn = void (*)(DenseGrid3<float>&, const Extent3&,
+                         const kernels::SpatialInvariant&, const float*);
+
+template <int... N>
+constexpr std::array<StampFn, sizeof...(N)> register_stamps(
+    std::integer_sequence<int, N...>) {
+  return {&stamp_columns<N>...};
+}
+
+/// Register-row stamps indexed by run length (entry 0 is never called:
+/// an empty extent returns before dispatch).
+inline constexpr std::array<StampFn, kMaxRegisterRun + 1> kRegisterStamps =
+    register_stamps(std::make_integer_sequence<int, kMaxRegisterRun + 1>{});
+
+}  // namespace stamp
+#endif  // STKDE_VECTOR_STAMP
+
+/// The accumulation half of scatter_sym and scatter_cached: stamps filled
+/// invariant tables over the extent \p e (a cylinder clipped to the grid, a
+/// DD/PD subdomain, a tile or a halo buffer).
 ///
 /// The hot loop of the whole library: for each (X, Y) inside the disk span,
-/// a contiguous float FMA walk over the T-run. restrict qualifiers tell the
-/// compiler the grid row and the temporal table cannot alias, and
-/// `omp simd` licenses vectorization across the T lanes.
+/// row[i] += ks * kt[i] over the column's contiguous T-run. Short runs are
+/// bound by per-column instructions, not multiply-add throughput, so the
+/// float stamp for runs up to 32 (stamp::stamp_columns) loads the temporal
+/// row into 4-lane registers once, walks the columns by stepping a pointer
+/// by row_stride(), and gives every column a fixed sequence of floor(len/4)
+/// 4-lane updates plus exact 2-lane and 1-lane tails. Each voxel still gets
+/// the same float multiply and add, so grids are bitwise identical to the
+/// plain loop (core_equivalence_test pins this for runs 1..41).
 template <typename T>
 void scatter_tables(DenseGrid3<T>& grid, const Extent3& e,
                     const kernels::SpatialInvariant& ks_tab,
@@ -172,6 +297,20 @@ void scatter_tables(DenseGrid3<T>& grid, const Extent3& e,
   const float* STKDE_RESTRICT const kt_row =
       kt_tab.data() + (e.tlo - kt_tab.t_lo());
   const std::int32_t len = e.nt();
+#if STKDE_VECTOR_STAMP
+  if constexpr (std::is_same_v<T, float>) {
+    if (len <= stamp::kMaxRegisterRun) {
+      stamp::kRegisterStamps[static_cast<std::size_t>(len)](grid, e, ks_tab,
+                                                            kt_row);
+      return;
+    }
+  }
+#endif
+  // Longer runs, non-float grids and compilers without vector extensions
+  // take the compiler-vectorized loop per column: over 32 voxels the
+  // multiply-adds, not the per-column overhead, dominate, and a wider-ISA
+  // build vectorizes it wider than 4 lanes. Its epilogue is scalar (or
+  // masked), so it touches nothing past the run either.
   const std::int64_t t_off = e.tlo - grid.extent().tlo;
   for (std::int32_t X = e.xlo; X < e.xhi; ++X) {
     const std::int32_t ys = std::max(e.ylo, ks_tab.y_span_lo(X));
@@ -217,7 +356,7 @@ struct CachedStamp {
 /// on the point's sub-voxel offset, rebased onto this cylinder) instead of
 /// a per-point fill; the temporal table is recomputed as usual. This is the
 /// per-point stamp of the tile engine and of every cached parallel variant
-/// (DD/PD family, sharded streaming ingest).
+/// (DR, DD, the PD family, sharded streaming ingest).
 ///
 /// Unlike scatter_sym, the run scale rides in the *temporal* table (it is
 /// per-point scratch) and cached spatial tables are filled unscaled — so a

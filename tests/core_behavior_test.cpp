@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "core/detail/common.hpp"
+#include "core/detail/scatter.hpp"
 #include "helpers.hpp"
 
 namespace stkde {
@@ -29,8 +35,9 @@ TEST(Phases, DrReportsReducePhase) {
 
 TEST(Phases, DecomposedAlgorithmsReportBinPhase) {
   TinyInstance t = make_tiny(100, 2, 1);
-  for (const Algorithm a : {Algorithm::kPBSymDD, Algorithm::kPBSymPD,
-                            Algorithm::kPBSymPDSched, Algorithm::kPBSymPDRep}) {
+  for (const Algorithm a : {Algorithm::kPBSymDR, Algorithm::kPBSymDD,
+                            Algorithm::kPBSymPD, Algorithm::kPBSymPDSched,
+                            Algorithm::kPBSymPDRep}) {
     const Result r = estimate(t.points, t.domain, t.params, a);
     EXPECT_GT(r.phases.seconds(phase::kBin), 0.0) << to_string(a);
   }
@@ -172,6 +179,52 @@ TEST(ThreadCounts, MoreThreadsThanTasksIsFine) {
   const Result ref = core::run_vb(t.points, t.domain, t.params);
   EXPECT_LE(r.grid.max_abs_diff(ref.grid), testing::grid_tolerance(ref.grid));
 }
+
+// PB-SYM-DR splits the Morton-sorted points into P contiguous chunks and
+// stamps each through a leased table cache. The split must hold for empty
+// input, fewer points than threads (empty chunks) and clustered duplicates
+// (arrival order scatters them; the sort makes them neighbours).
+struct DrInput {
+  std::string name;
+  PointSet points;
+};
+
+std::vector<DrInput> dr_inputs() {
+  PointSet duplicates;
+  const PointSet base = make_tiny(30, 3, 2, 5).points;
+  for (int copy = 0; copy < 4; ++copy)
+    duplicates.insert(duplicates.end(), base.begin(), base.end());
+  return {{"empty", {}},
+          {"fewer_points_than_threads", make_tiny(3, 3, 2, 9).points},
+          {"clustered_duplicates", duplicates}};
+}
+
+class DrInputTest : public ::testing::TestWithParam<DrInput> {};
+
+TEST_P(DrInputTest, MatchesPbSymWithOneLookupPerStampedPoint) {
+  TinyInstance t = make_tiny(0, 3, 2);
+  t.points = GetParam().points;
+  t.params.threads = 4;
+  const Result ref = estimate(t.points, t.domain, t.params, Algorithm::kPBSym);
+  const Result r = estimate(t.points, t.domain, t.params, Algorithm::kPBSymDR);
+  EXPECT_LE(r.grid.max_abs_diff(ref.grid),
+            1e-5 * static_cast<double>(std::max(ref.grid.max_value(), 0.0f)) +
+                1e-12);
+  const core::detail::RunSetup s(t.points, t.domain, t.params);
+  const Extent3 whole = Extent3::whole(s.map.dims());
+  std::int64_t stamped = 0;
+  for (const Point& pt : t.points)
+    if (!core::detail::clipped_cylinder(s.map, pt, s.Hs, s.Ht, whole).empty())
+      ++stamped;
+  EXPECT_EQ(r.diag.table_lookups, stamped);
+  EXPECT_LE(r.diag.table_fills, r.diag.table_lookups);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThreadCounts, DrInputTest, ::testing::ValuesIn(dr_inputs()),
+    [](const ::testing::TestParamInfo<DrInput>& info) {
+      return info.param.name;
+    });
 
 TEST(Determinism, RepeatedRunsAreBitIdentical) {
   TinyInstance t = make_tiny(120, 3, 2);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <sstream>
 
@@ -245,6 +246,84 @@ INSTANTIATE_TEST_SUITE_P(
         if (c == '-') c = '_';
       return s;
     });
+
+// --- the shared float stamp vs a plain loop, bit for bit ---------------------
+//
+// scatter_tables gives every column of a run up to 32 long floor(len/4)
+// 4-lane updates from a register-held temporal row plus exact 2-lane and
+// 1-lane tails; longer runs take a vectorized loop. Either must do exactly
+// what the plain loop does: the same float multiply and add in every run
+// cell, and nothing outside the run. Every T-window of one 41-voxel
+// cylinder covers run lengths 1..41 clipped at the low end, the high end
+// and both; the spatial clips cut the disk's Y-spans (and X); the grids sit
+// at an offset origin, packed and cache-line padded. Every cell starts as
+// -0.0f, and adding anything to it — even the zero lane of a vector that
+// overhangs the run — leaves +0.0f or more, so a dropped or doubled lane,
+// or a write past the run or into row padding, changes the grids' bits.
+// (The windows from the cylinder's first T grow one voxel at a time, so
+// the cells past each run length are still -0.0f when it first lands.)
+
+void plain_stamp(DensityGrid& g, const Extent3& e,
+                 const kernels::SpatialInvariant& ks,
+                 const kernels::TemporalInvariant& kt) {
+  for (std::int32_t X = e.xlo; X < e.xhi; ++X)
+    for (std::int32_t Y = std::max(e.ylo, ks.y_span_lo(X));
+         Y < std::min(e.yhi, ks.y_span_hi(X)); ++Y) {
+      float* const row = g.row(X, Y) + (e.tlo - g.extent().tlo);
+      const float s = ks.at(X, Y);
+      for (std::int32_t i = 0; i < e.nt(); ++i) row[i] += s * kt.at(e.tlo + i);
+    }
+}
+
+TEST(ScatterTables, MatchesPlainLoopBitForBitForEveryRunLength) {
+  DomainSpec dom;
+  dom.gx = 12.0;
+  dom.gy = 12.0;
+  dom.gt = 48.0;
+  const VoxelMapper map(dom);
+  const Point p{5.3, 6.8, 23.4};
+  const std::int32_t Hs = 3, Ht = 20;
+  const kernels::EpanechnikovKernel k;
+  kernels::SpatialInvariant ks;
+  kernels::TemporalInvariant kt;
+  ks.compute(k, map, p, 3.0, Hs, 0.37);
+  // ht a little over Ht voxels: every lane of the cylinder's temporal row
+  // is nonzero, so a dropped lane shows wherever it falls.
+  kt.compute(k, map, p, 20.4, Ht);
+  const Voxel c = map.voxel_of(p);
+  const Extent3 cyl = Extent3::cylinder(c, Hs, Ht);
+  for (std::int32_t T = cyl.tlo; T < cyl.thi; ++T) ASSERT_GT(kt.at(T), 0.0f);
+
+  // Spatial clips: none, Y cut through the disk, X and Y cut.
+  const std::vector<Extent3> clips = {
+      cyl, Extent3{cyl.xlo, cyl.xhi, c.y - 1, c.y + 2, cyl.tlo, cyl.thi},
+      Extent3{c.x, cyl.xhi, cyl.ylo, c.y + 1, cyl.tlo, cyl.thi}};
+  const Extent3 box{1, 11, 2, 12, 2, 46};  // a subdomain-style grid extent
+  std::int32_t longest = 0;
+  for (const RowPad pad : {RowPad::kNone, RowPad::kCacheLine}) {
+    DensityGrid plain, stamped;
+    plain.allocate(box, pad);
+    stamped.allocate(box, pad);
+    std::fill_n(plain.data(), plain.size(), -0.0f);
+    std::fill_n(stamped.data(), stamped.size(), -0.0f);
+    const auto bytes = static_cast<std::size_t>(plain.size()) * sizeof(float);
+    for (const Extent3& clip : clips)
+      for (std::int32_t lo = cyl.tlo; lo < cyl.thi; ++lo)
+        for (std::int32_t hi = lo + 1; hi <= cyl.thi; ++hi) {
+          Extent3 e = clip;
+          e.tlo = lo;
+          e.thi = hi;
+          plain_stamp(plain, e, ks, kt);
+          core::detail::scatter_tables(stamped, e, ks, kt);
+          longest = std::max(longest, e.nt());
+          ASSERT_EQ(std::memcmp(plain.data(), stamped.data(), bytes), 0)
+              << "run length " << e.nt() << " (T " << lo << ".." << hi
+              << ", X " << e.xlo << ".." << e.xhi << ", Y " << e.ylo << ".."
+              << e.yhi << ", padded " << plain.padded() << ")";
+        }
+  }
+  EXPECT_EQ(longest, 2 * Ht + 1);
+}
 
 // --- structural edge cases ---------------------------------------------------
 
