@@ -7,6 +7,7 @@
 
 #include "grid/dense_grid.hpp"
 #include "grid/reduction.hpp"
+#include "sched/thread_pool.hpp"
 
 using namespace stkde;
 
@@ -57,9 +58,9 @@ void BM_GridFill(benchmark::State& state) {
 
 void BM_GridFillParallel(benchmark::State& state) {
   DenseGrid3<float> g(GridDims{kN, kN, kN});
-  const int threads = static_cast<int>(state.range(0));
+  sched::ThreadPool pool(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    g.fill_parallel(0.0f, threads);
+    g.fill_parallel(0.0f, pool);
     benchmark::DoNotOptimize(g.data());
   }
   state.SetBytesProcessed(state.iterations() * g.bytes());
@@ -74,8 +75,9 @@ void BM_ReduceReplicas(benchmark::State& state) {
     reps.emplace_back(GridDims{kN, kN, kN});
     reps.back().fill(1.0f);
   }
+  sched::ThreadPool pool(1);
   for (auto _ : state) {
-    reduce_replicas(dst, reps, 1);
+    reduce_replicas(dst, reps, pool);
     benchmark::DoNotOptimize(dst.data());
   }
   state.SetBytesProcessed(state.iterations() * dst.bytes() * replicas);

@@ -10,6 +10,7 @@
 #include "sched/critical_path.hpp"
 #include "sched/dag_scheduler.hpp"
 #include "sched/simulator.hpp"
+#include "sched/thread_pool.hpp"
 #include "util/rng.hpp"
 
 using namespace stkde;
@@ -74,12 +75,13 @@ void BM_SimulateDagSchedule(benchmark::State& state) {
 void BM_DagSchedulerExecution(benchmark::State& state) {
   // Per-task overhead of the real executor on an embarrassingly-parallel DAG.
   const auto n = static_cast<std::size_t>(state.range(0));
+  sched::ThreadPool pool(4);
   for (auto _ : state) {
     sched::DagScheduler dag;
     std::atomic<std::int64_t> sink{0};
     for (std::size_t i = 0; i < n; ++i)
       dag.add_task([&sink] { sink.fetch_add(1, std::memory_order_relaxed); });
-    dag.run(4);
+    dag.run(pool);
     benchmark::DoNotOptimize(sink.load());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));

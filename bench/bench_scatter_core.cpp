@@ -25,6 +25,7 @@
 #include "core/detail/tile_scatter.hpp"
 #include "data/generator.hpp"
 #include "partition/tile_order.hpp"
+#include "sched/thread_pool.hpp"
 #include "util/timer.hpp"
 
 using namespace stkde;
@@ -198,13 +199,13 @@ int main(int argc, char** argv) {
       const core::detail::TilePlan plan = core::detail::plan_tile_schedule(
           s.map.dims(), grid.row_stride(), sizeof(float), par_cfg, P, s.Hs,
           s.Ht);
+      sched::ThreadPool pool(P);
       const double t_p = time_variant(reps, grid, [&] {
         const PointBins timed_bins = tile_major_bins(
             points, s.map, plan.tiles, s.Hs, s.Ht, plan.bin_rule());
-        core::detail::scatter_tile_major_parallel(grid, whole, s.map, k,
-                                                  points, params.hs, params.ht,
-                                                  s.Hs, s.Ht, s.scale, plan,
-                                                  timed_bins, par_cfg);
+        core::detail::scatter_tile_major_parallel(
+            grid, whole, s.map, k, points, params.hs, params.ht, s.Hs, s.Ht,
+            s.scale, plan, timed_bins, par_cfg, pool);
       });
       PointBins pbins = tile_major_bins(points, s.map, plan.tiles, s.Hs, s.Ht,
                                         plan.bin_rule());
@@ -274,10 +275,10 @@ int main(int argc, char** argv) {
       TileParams par_cfg;
       par_cfg.threads = 4;
       grid.fill(0.0f);
-      core::detail::scatter_tile_major_parallel(grid, whole, s.map, k, points,
-                                                params.hs, params.ht, s.Hs,
-                                                s.Ht, s.scale, *plan_p4,
-                                                bins_p4, par_cfg);
+      sched::ThreadPool pool(4);
+      core::detail::scatter_tile_major_parallel(
+          grid, whole, s.map, k, points, params.hs, params.ht, s.Hs, s.Ht,
+          s.scale, *plan_p4, bins_p4, par_cfg, pool);
       max_rel_diff_tile_p4 =
           peak > 0.0 ? grid.max_abs_diff(ref_grid) / peak : 0.0;
     }

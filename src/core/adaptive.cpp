@@ -10,6 +10,7 @@
 #include "partition/load.hpp"
 #include "sched/critical_path.hpp"
 #include "sched/dag_scheduler.hpp"
+#include "sched/thread_pool.hpp"
 #include "util/env.hpp"
 
 namespace stkde::core {
@@ -160,10 +161,11 @@ Result run_pd_sched(const PointSet& pts, const DomainSpec& dom,
     res.diag.critical_path = m.critical_path;
     res.diag.load_imbalance = imbalance(loads).imbalance;
   }
+  sched::ThreadPool pool(P);
   {
     util::ScopedPhase init(res.phases, phase::kInit);
     res.grid.allocate(s.map.dims());
-    res.grid.fill_parallel(0.0f, P);
+    res.grid.fill_parallel(0.0f, pool);
   }
   util::ScopedPhase compute(res.phases, phase::kCompute);
   const Extent3 whole = Extent3::whole(s.map.dims());
@@ -181,15 +183,8 @@ Result run_pd_sched(const PointSet& pts, const DomainSpec& dom,
           },
           loads[static_cast<std::size_t>(v)]);
     }
-    for (std::int64_t v = 0; v < dec.count(); ++v) {
-      g.for_neighbors(v, [&](std::int64_t u) {
-        if (col.color[static_cast<std::size_t>(v)] <
-            col.color[static_cast<std::size_t>(u)])
-          dag.add_edge(static_cast<std::size_t>(v),
-                       static_cast<std::size_t>(u));
-      });
-    }
-    dag.run(P);
+    sched::add_color_edges(dag, g, col);
+    dag.run(pool);
     res.diag.task_seconds.resize(dag.task_count());
     for (std::size_t i = 0; i < dag.task_count(); ++i)
       res.diag.task_seconds[i] =

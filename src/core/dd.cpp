@@ -1,5 +1,3 @@
-#include <omp.h>
-
 #include "core/algorithms.hpp"
 #include "core/detail/common.hpp"
 #include "core/detail/scatter.hpp"
@@ -7,19 +5,21 @@
 #include "partition/binning.hpp"
 #include "partition/load.hpp"
 #include "partition/tile_order.hpp"
+#include "sched/thread_pool.hpp"
 
 namespace stkde::core {
 
 // Algorithm 5 (PB-SYM-DD): the grid is split into A x B x C subdomains;
 // each point is replicated into every subdomain its cylinder intersects,
-// and subdomains are processed independently (dynamic OpenMP schedule).
+// and subdomains are processed independently (ThreadPool::parallel_for's
+// dynamic schedule).
 // Historically a point split across subdomains recomputed both invariant
 // tables per subdomain — the work overhead Fig. 9 measures. The tile
 // treatment removes most of it: bins are Morton-sorted
 // (sort_bins_by_scatter_key) so each worker walks its subdomain in scatter
-// order, and spatial tables are served from a per-worker offset-keyed
-// cache (Params::tile knobs) — a replicated point's table is filled once
-// per worker that sees its offset, not once per (point, subdomain) pair.
+// order, and spatial tables are served from a leased offset-keyed cache
+// (Params::tile knobs) — a replicated point's table is filled once per
+// cache that sees its offset, not once per (point, subdomain) pair.
 Result run_pb_sym_dd(const PointSet& pts, const DomainSpec& dom,
                      const Params& p) {
   p.validate();
@@ -45,48 +45,40 @@ Result run_pb_sym_dd(const PointSet& pts, const DomainSpec& dom,
     res.diag.load_imbalance = imbalance(loads).imbalance;
   }
 
+  sched::ThreadPool pool(P);
   {
     util::ScopedPhase init(res.phases, phase::kInit);
     res.grid.allocate(d);
-    res.grid.fill_parallel(0.0f, P);
+    res.grid.fill_parallel(0.0f, pool);
   }
 
   util::ScopedPhase compute(res.phases, phase::kCompute);
   const std::int64_t nsub = dec.count();
   res.diag.task_seconds.assign(static_cast<std::size_t>(nsub), 0.0);
-  std::int64_t cells = 0, span = 0, nz = 0;
+  std::vector<detail::LaneStats> lanes(static_cast<std::size_t>(nsub));
   kernels::TableCachePool cache_pool(
       kernels::TableCacheConfig{p.tile.table_quant, p.tile.cache_bytes}, s.Hs);
   detail::with_kernel(p.kernel, [&](const auto& k) {
-#pragma omp parallel num_threads(P)
-    {
+    pool.parallel_for(nsub, [&](std::int64_t v) {
+      util::Timer task_timer;
+      // Leases return to the pool warm: the next subdomain inherits a cache
+      // that already holds the offsets seen so far.
       auto cache = cache_pool.acquire();
       kernels::TemporalInvariant kt;
-#pragma omp for schedule(dynamic) reduction(+ : cells, span, nz)
-      for (std::int64_t v = 0; v < nsub; ++v) {
-        util::Timer task_timer;
-        const Extent3 sub = dec.subdomain(v);
-        for (const std::uint32_t idx :
-             bins.bins[static_cast<std::size_t>(v)]) {
-          // Only the accumulation is clipped to the subdomain; the cache
-          // serves the full table and rebases it onto this cylinder.
-          const detail::CachedStamp st = detail::scatter_cached(
-              res.grid, sub, s.map, k, pts[static_cast<std::size_t>(idx)],
-              p.hs, p.ht, s.Hs, s.Ht, s.scale, *cache, kt);
-          if (st.filled) {
-            cells += st.table->cells();
-            span += st.table->span_cells();
-            nz += st.table->nonzero();
-          }
-        }
-        res.diag.task_seconds[static_cast<std::size_t>(v)] =
-            task_timer.seconds();
-      }
-    }
+      detail::LaneStats ls;
+      const Extent3 sub = dec.subdomain(v);
+      // Only the accumulation is clipped to the subdomain; the cache serves
+      // the full table and rebases it onto this cylinder.
+      for (const std::uint32_t idx : bins.bins[static_cast<std::size_t>(v)])
+        ls.count(detail::scatter_cached(
+            res.grid, sub, s.map, k, pts[static_cast<std::size_t>(idx)], p.hs,
+            p.ht, s.Hs, s.Ht, s.scale, *cache, kt));
+      lanes[static_cast<std::size_t>(v)] = ls;
+      res.diag.task_seconds[static_cast<std::size_t>(v)] =
+          task_timer.seconds();
+    });
   });
-  res.diag.table_cells = cells;
-  res.diag.span_cells = span;
-  res.diag.table_nonzero = nz;
+  detail::LaneStats::sum(lanes).store(res.diag);
   res.diag.table_lookups = cache_pool.lookups();
   res.diag.table_fills = cache_pool.fills();
   return res;

@@ -38,7 +38,9 @@
 #include <cstdint>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
+#include "core/result.hpp"
 #include "geom/voxel_mapper.hpp"
 #include "grid/dense_grid.hpp"
 #include "kernels/invariants.hpp"
@@ -350,6 +352,36 @@ struct CachedStamp {
   bool stamped = false;
   bool filled = false;
   const kernels::SpatialInvariant* table = nullptr;
+};
+
+/// Fill-side lane statistics of cached stamps (Result::diag's table_cells,
+/// span_cells, table_nonzero). Parallel drivers count into one instance per
+/// task and sum them once the tasks are done, so workers share no counter.
+struct LaneStats {
+  std::int64_t cells = 0, span = 0, nonzero = 0;
+
+  void count(const CachedStamp& st) {
+    if (!st.filled) return;
+    cells += st.table->cells();
+    span += st.table->span_cells();
+    nonzero += st.table->nonzero();
+  }
+
+  [[nodiscard]] static LaneStats sum(const std::vector<LaneStats>& per_task) {
+    LaneStats t;
+    for (const LaneStats& l : per_task) {
+      t.cells += l.cells;
+      t.span += l.span;
+      t.nonzero += l.nonzero;
+    }
+    return t;
+  }
+
+  void store(Diagnostics& diag) const {
+    diag.table_cells = cells;
+    diag.span_cells = span;
+    diag.table_nonzero = nonzero;
+  }
 };
 
 /// Cache-served scatter_sym: the spatial table comes from \p cache (keyed

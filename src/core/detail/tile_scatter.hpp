@@ -24,8 +24,8 @@
 /// approximately co-located data.
 ///
 /// The parallel walk (scatter_tile_major_parallel) runs the tiles on the
-/// repo's sched::ThreadPool under one of two conflict-free schedules picked
-/// by plan_tile_schedule (recorded in Result::diag.tile_schedule):
+/// caller's sched::ThreadPool under one of two conflict-free schedules
+/// picked by plan_tile_schedule (recorded in Result::diag.tile_schedule):
 ///  - parity waves: owner-binned tiles at least 2Hs wide per spatial axis
 ///    never write the same voxel when they agree on (a, b) parity, so the
 ///    four (a%2, b%2) classes run as four synchronization-free waves — the
@@ -47,7 +47,6 @@
 /// documented 1/Q error bound.)
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -80,13 +79,9 @@ enum class TileSchedule {
 
 /// What one engine pass did (feeds Result::diag and the streaming stats).
 struct TileScatterStats {
-  std::int64_t tiles = 0;        ///< non-empty tiles visited
-  std::int64_t bin_entries = 0;  ///< (point, tile) pairs walked
   std::int64_t lookups = 0;      ///< table-cache lookups
   std::int64_t fills = 0;        ///< table-cache misses (tables computed)
-  std::int64_t table_cells = 0;  ///< lane stats, accumulated on fills only
-  std::int64_t span_cells = 0;
-  std::int64_t table_nonzero = 0;
+  LaneStats lanes;               ///< accumulated on fills only
   std::int64_t waves = 0;            ///< wave barriers executed (0 = serial)
   std::uint64_t halo_bytes = 0;      ///< peak halo-buffer memory (kHaloBuffer)
   TileSchedule schedule = TileSchedule::kSerial;
@@ -171,38 +166,28 @@ TileScatterStats scatter_tile_major(DenseGrid3<T>& grid, const Extent3& clip,
     if (bin.empty()) continue;
     const Extent3 tclip = tiles.subdomain(v).intersect(clip);
     if (tclip.empty()) continue;
-    ++stats.tiles;
-    for (const std::uint32_t idx : bin) {
-      // The temporal table is O(Ht) to fill — not worth caching.
-      const CachedStamp st = scatter_cached(grid, tclip, map, k, pts[idx], hs,
-                                            ht, Hs, Ht, scale, cache, kt);
-      if (!st.stamped) continue;
-      ++stats.bin_entries;
-      if (st.filled) {
-        stats.table_cells += st.table->cells();
-        stats.span_cells += st.table->span_cells();
-        stats.table_nonzero += st.table->nonzero();
-      }
-    }
+    // The temporal table is O(Ht) to fill — not worth caching.
+    for (const std::uint32_t idx : bin)
+      stats.lanes.count(scatter_cached(grid, tclip, map, k, pts[idx], hs, ht,
+                                       Hs, Ht, scale, cache, kt));
   }
   stats.lookups = cache.lookups();
   stats.fills = cache.fills();
   return stats;
 }
 
-/// Parallel tile walk over a plan from plan_tile_schedule. \p bins must be
-/// owner-binned onto plan.tiles (tile_major_bins with plan.bin_rule()).
-/// Runs on a private sched::ThreadPool — not raw OpenMP — so the schedule
-/// is validated end-to-end by the STKDE_TSAN job (stock libgomp is not
-/// TSan-instrumented); the pool's FIFO queue gives the dynamic tile-to-
-/// worker assignment, and each task leases a private table cache + temporal
-/// invariant from a kernels::TableCachePool.
+/// Parallel tile walk over a plan from plan_tile_schedule, on \p pool
+/// (plan.threads workers). \p bins must be owner-binned onto plan.tiles
+/// (tile_major_bins with plan.bin_rule()). Each wave is one
+/// ThreadPool::parallel_for, whose dynamic schedule gives the tile-to-
+/// worker assignment; each tile leases a table cache from a
+/// kernels::TableCachePool and a private temporal invariant.
 template <kernels::SeparableKernel K, typename T>
 TileScatterStats scatter_tile_major_parallel(
     DenseGrid3<T>& grid, const Extent3& clip, const VoxelMapper& map,
     const K& k, const PointSet& pts, double hs, double ht, std::int32_t Hs,
     std::int32_t Ht, double scale, const TilePlan& plan, const PointBins& bins,
-    const TileParams& cfg) {
+    const TileParams& cfg, sched::ThreadPool& pool) {
   TileScatterStats stats;
   stats.schedule = plan.schedule;
   stats.threads = plan.threads;
@@ -210,78 +195,38 @@ TileScatterStats scatter_tile_major_parallel(
   const std::int64_t nsub = tiles.count();
   kernels::TableCachePool cache_pool(
       kernels::TableCacheConfig{cfg.table_quant, cfg.cache_bytes}, Hs);
-  // Ordering contract: relaxed throughout — pure statistics accumulators
-  // with no cross-field invariants; the final loads happen after
-  // wait_idle()'s pool-mutex synchronization, which already orders every
-  // worker's writes before the reader.
-  std::atomic<std::int64_t> tile_count{0}, entries{0}, cells{0}, span{0},
-      nz{0};
+  std::vector<LaneStats> lanes(static_cast<std::size_t>(nsub));
 
-  // One tile's owner-computed stamp into `target`, clipped to `tclip`
-  // (the full clip for parity waves, the halo extent for buffers).
+  // Tile v's owner-computed stamp into `target`, clipped to `tclip` (the
+  // full clip for parity waves, the halo extent for buffers).
   auto scatter_tile = [&](DenseGrid3<T>& target, const Extent3& tclip,
-                          const std::vector<std::uint32_t>& bin) {
+                          std::size_t v) {
     auto cache = cache_pool.acquire();
     kernels::TemporalInvariant kt;
-    std::int64_t t_entries = 0, t_cells = 0, t_span = 0, t_nz = 0;
-    for (const std::uint32_t idx : bin) {
-      const CachedStamp st = scatter_cached(target, tclip, map, k, pts[idx],
-                                            hs, ht, Hs, Ht, scale, *cache, kt);
-      if (!st.stamped) continue;
-      ++t_entries;
-      if (st.filled) {
-        t_cells += st.table->cells();
-        t_span += st.table->span_cells();
-        t_nz += st.table->nonzero();
-      }
-    }
-    tile_count.fetch_add(1, std::memory_order_relaxed);
-    entries.fetch_add(t_entries, std::memory_order_relaxed);
-    cells.fetch_add(t_cells, std::memory_order_relaxed);
-    span.fetch_add(t_span, std::memory_order_relaxed);
-    nz.fetch_add(t_nz, std::memory_order_relaxed);
+    LaneStats ls;
+    for (const std::uint32_t idx : bins.bins[v])
+      ls.count(scatter_cached(target, tclip, map, k, pts[idx], hs, ht, Hs, Ht,
+                              scale, *cache, kt));
+    lanes[v] = ls;
   };
-
-  // Shared traversal state. Declared before the pool so stack unwinding
-  // drains the workers (DrainGuard below) before any of it is destroyed.
-  std::vector<std::vector<std::int64_t>> waves;              // parity mode
-  std::vector<std::int64_t> work;                            // halo mode
-  std::vector<Extent3> halos;                                // halo mode
-  std::vector<DenseGrid3<T>> buffers;                        // halo mode
-
-  sched::ThreadPool pool(plan.threads);
-  // Unwind guard (the streaming engine's protocol): if a submit or a
-  // rethrown task error unwinds this frame, queued workers may still be
-  // scattering into the state above — drain them first, without throwing.
-  struct DrainGuard {
-    sched::ThreadPool* pool;
-    ~DrainGuard() {
-      try {
-        pool->wait_idle();
-      } catch (...) {  // NOLINT(bugprone-empty-catch)
-      }
-    }
-  } drain{&pool};
 
   if (plan.schedule == TileSchedule::kParityWave) {
     // Four (a, b)-parity waves over the subdomain conflict graph; c is
     // always 1, so parity_coloring only ever emits the even colors.
     const sched::Coloring col =
         sched::parity_coloring(sched::StencilGraph::of(tiles));
-    waves.resize(
+    std::vector<std::vector<std::size_t>> waves(
         static_cast<std::size_t>(col.num_colors > 0 ? col.num_colors : 1));
-    for (std::int64_t v = 0; v < nsub; ++v)
-      if (!bins.bins[static_cast<std::size_t>(v)].empty())
-        waves[static_cast<std::size_t>(col.color[static_cast<std::size_t>(v)])]
-            .push_back(v);
+    for (std::size_t v = 0; v < col.size(); ++v)
+      if (!bins.bins[v].empty())
+        waves[static_cast<std::size_t>(col.color[v])].push_back(v);
     for (const auto& wave : waves) {
       if (wave.empty()) continue;
       ++stats.waves;
-      for (const std::int64_t v : wave)
-        pool.submit([&, v] {
-          scatter_tile(grid, clip, bins.bins[static_cast<std::size_t>(v)]);
-        });
-      pool.wait_idle();
+      pool.parallel_for(
+          static_cast<std::int64_t>(wave.size()), [&](std::int64_t i) {
+            scatter_tile(grid, clip, wave[static_cast<std::size_t>(i)]);
+          });
     }
   } else {
     // Owner-computes with halo buffers, pipelined per stride wave: a wave's
@@ -291,8 +236,9 @@ TileScatterStats scatter_tile_major_parallel(
     // tiling's. Stride rule: same-wave tiles are >= (s-1) tiles apart, so
     // their halo boxes (tile ± Hs) are disjoint when
     // (s - 1) * min_tile_width >= 2Hs.
-    halos.resize(static_cast<std::size_t>(nsub));
-    buffers.resize(static_cast<std::size_t>(nsub));
+    std::vector<std::size_t> work;
+    std::vector<Extent3> halos(static_cast<std::size_t>(nsub));
+    std::vector<DenseGrid3<T>> buffers(static_cast<std::size_t>(nsub));
     const std::int32_t sx =
         2 + (2 * Hs - 1) / std::max(1, tiles.min_width_x());
     const std::int32_t sy =
@@ -311,34 +257,27 @@ TileScatterStats scatter_tile_major_parallel(
           if (halos[sv].empty()) continue;
           wave_bytes += static_cast<std::uint64_t>(halos[sv].volume()) *
                         sizeof(T);
-          work.push_back(v);
+          work.push_back(sv);
         }
         if (work.empty()) continue;
         ++stats.waves;
         stats.halo_bytes = std::max(stats.halo_bytes, wave_bytes);
-        for (const std::int64_t v : work)
-          pool.submit([&, v] {
-            const auto sv = static_cast<std::size_t>(v);
-            buffers[sv].allocate(halos[sv]);
-            buffers[sv].fill(static_cast<T>(0));
-            scatter_tile(buffers[sv], halos[sv], bins.bins[sv]);
-          });
-        pool.wait_idle();
-        for (const std::int64_t v : work)
-          pool.submit([&, v] {
-            const auto sv = static_cast<std::size_t>(v);
-            accumulate_buffer(grid, buffers[sv]);
-            buffers[sv] = DenseGrid3<T>{};  // free the halo memory promptly
-          });
-        pool.wait_idle();
+        const auto n = static_cast<std::int64_t>(work.size());
+        pool.parallel_for(n, [&](std::int64_t i) {
+          const std::size_t sv = work[static_cast<std::size_t>(i)];
+          buffers[sv].allocate(halos[sv]);
+          buffers[sv].fill(static_cast<T>(0));
+          scatter_tile(buffers[sv], halos[sv], sv);
+        });
+        pool.parallel_for(n, [&](std::int64_t i) {
+          const std::size_t sv = work[static_cast<std::size_t>(i)];
+          accumulate_buffer(grid, buffers[sv]);
+          buffers[sv] = DenseGrid3<T>{};  // free the halo memory promptly
+        });
       }
   }
 
-  stats.tiles = tile_count.load(std::memory_order_relaxed);
-  stats.bin_entries = entries.load(std::memory_order_relaxed);
-  stats.table_cells = cells.load(std::memory_order_relaxed);
-  stats.span_cells = span.load(std::memory_order_relaxed);
-  stats.table_nonzero = nz.load(std::memory_order_relaxed);
+  stats.lanes = LaneStats::sum(lanes);
   stats.lookups = cache_pool.lookups();
   stats.fills = cache_pool.fills();
   return stats;

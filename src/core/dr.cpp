@@ -1,5 +1,3 @@
-#include <omp.h>
-
 #include "core/algorithms.hpp"
 #include "core/detail/common.hpp"
 #include "core/detail/scatter.hpp"
@@ -7,10 +5,11 @@
 #include "kernels/table_cache.hpp"
 #include "partition/binning.hpp"
 #include "partition/tile_order.hpp"
+#include "sched/thread_pool.hpp"
 
 namespace stkde::core {
 
-// Algorithm 4 (PB-SYM-DR): every thread owns a full grid replica, points are
+// Algorithm 4 (PB-SYM-DR): every worker owns a full grid replica, points are
 // split statically, replicas are summed at the end. Pleasingly parallel in
 // all three phases, but Theta(P Gx Gy Gt) extra work and memory — the paper
 // shows it losing badly on init-heavy instances and running out of memory
@@ -19,10 +18,10 @@ namespace stkde::core {
 //
 // The static split runs over the points in scatter order, not arrival
 // order: all indices are Morton-sorted once as a single bin (the bin
-// phase), so each thread's contiguous chunk is a spatially compact part of
-// the domain, and its stamps go through the shared cached stamp — spatial
-// tables come from a leased per-thread cache like DD/PD's instead of a
-// fill per point.
+// phase), so each chunk is a spatially compact part of the domain, and its
+// stamps go through the shared cached stamp — spatial tables come from a
+// leased per-chunk cache like DD/PD's instead of a fill per point. Chunk i
+// always lands in replica i, so the worker that runs it does not matter.
 Result run_pb_sym_dr(const PointSet& pts, const DomainSpec& dom,
                      const Params& p) {
   p.validate();
@@ -47,61 +46,52 @@ Result run_pb_sym_dr(const PointSet& pts, const DomainSpec& dom,
   }
   const std::vector<std::uint32_t>& idx = order.bins.front();
 
+  sched::ThreadPool pool(P);
   std::vector<DenseGrid3<float>> replicas(static_cast<std::size_t>(P));
   {
     util::ScopedPhase init(res.phases, phase::kInit);
     res.grid.allocate(d);
-    // Replica allocation + first-touch init in parallel, one per thread.
-#pragma omp parallel num_threads(P)
-    {
-      const int id = omp_get_thread_num();
+    // Replica allocation + first-touch init in parallel, one per task.
+    pool.parallel_for(P, [&](std::int64_t id) {
       replicas[static_cast<std::size_t>(id)].allocate(d);
       replicas[static_cast<std::size_t>(id)].fill(0.0f);
-    }
+    });
   }
 
   {
     util::ScopedPhase compute(res.phases, phase::kCompute);
     const Extent3 whole = Extent3::whole(d);
     const auto n = static_cast<std::int64_t>(idx.size());
-    std::int64_t cells = 0, span = 0, nz = 0;
+    std::vector<detail::LaneStats> lanes(static_cast<std::size_t>(P));
     kernels::TableCachePool cache_pool(
         kernels::TableCacheConfig{p.tile.table_quant, p.tile.cache_bytes},
         s.Hs);
     detail::with_kernel(p.kernel, [&](const auto& k) {
-#pragma omp parallel num_threads(P) reduction(+ : cells, span, nz)
-      {
-        const int id = omp_get_thread_num();
+      pool.parallel_for(P, [&](std::int64_t id) {
         DenseGrid3<float>& local = replicas[static_cast<std::size_t>(id)];
         auto cache = cache_pool.acquire();
         kernels::TemporalInvariant kt;
         const std::int64_t chunk = (n + P - 1) / P;
         const std::int64_t lo = std::min<std::int64_t>(n, id * chunk);
         const std::int64_t hi = std::min<std::int64_t>(n, lo + chunk);
-        for (std::int64_t i = lo; i < hi; ++i) {
-          const detail::CachedStamp st = detail::scatter_cached(
+        detail::LaneStats ls;
+        for (std::int64_t i = lo; i < hi; ++i)
+          ls.count(detail::scatter_cached(
               local, whole, s.map, k,
               pts[static_cast<std::size_t>(idx[static_cast<std::size_t>(i)])],
-              p.hs, p.ht, s.Hs, s.Ht, s.scale, *cache, kt);
-          if (st.filled) {
-            cells += st.table->cells();
-            span += st.table->span_cells();
-            nz += st.table->nonzero();
-          }
-        }
-      }
+              p.hs, p.ht, s.Hs, s.Ht, s.scale, *cache, kt));
+        lanes[static_cast<std::size_t>(id)] = ls;
+      });
     });
-    res.diag.table_cells = cells;
-    res.diag.span_cells = span;
-    res.diag.table_nonzero = nz;
+    detail::LaneStats::sum(lanes).store(res.diag);
     res.diag.table_lookups = cache_pool.lookups();
     res.diag.table_fills = cache_pool.fills();
   }
 
   {
     util::ScopedPhase reduce(res.phases, phase::kReduce);
-    res.grid.fill_parallel(0.0f, P);
-    reduce_replicas(res.grid, replicas, P);
+    res.grid.fill_parallel(0.0f, pool);
+    reduce_replicas(res.grid, replicas, pool);
   }
   return res;
 }

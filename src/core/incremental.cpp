@@ -139,7 +139,7 @@ void IncrementalEstimator::apply_sharded(const PointSet& batch, double scale) {
   const std::int64_t nsub = dec_.count();
 
   // Table-cache probes attributable to this apply (reads are safe here:
-  // workers are idle at entry and again at each wait_idle barrier).
+  // no ingest task runs before the first parallel_for or after the last).
   const std::int64_t lookups_before = cache_pool_->lookups();
   const std::int64_t fills_before = cache_pool_->fills();
   detail::with_kernel(params_.kernel, [&](const auto& k) {
@@ -164,21 +164,10 @@ void IncrementalEstimator::apply_sharded(const PointSet& batch, double scale) {
     std::vector<std::vector<DensityGrid>> buffers(
         static_cast<std::size_t>(nsub));
     std::vector<Extent3> halo(static_cast<std::size_t>(nsub));
-    // Unwind guard: if anything throws between submits (a task error
-    // rethrown by wait_idle, bad_alloc queuing a task, ...), queued workers
-    // may still be scattering into buffers/halo/bins — drain them before
-    // those stack objects are destroyed. The guard's own wait must not
-    // throw; the original exception is the one that propagates.
-    struct DrainGuard {
-      sched::ThreadPool* pool;
-      ~DrainGuard() {
-        try {
-          pool->wait_idle();
-        } catch (...) {  // NOLINT(bugprone-empty-catch)
-        }
-      }
-    } drain{pool_.get()};
-    bool any_replicas = false;
+    struct Replica {
+      std::size_t tile, rep, lo, hi;
+    };
+    std::vector<Replica> replicas;
     for (std::int64_t v = 0; v < nsub; ++v) {
       const auto sv = static_cast<std::size_t>(v);
       const auto& idxs = bins.bins[sv];
@@ -190,44 +179,46 @@ void IncrementalEstimator::apply_sharded(const PointSet& batch, double scale) {
       const std::size_t chunk = (idxs.size() + r - 1) / r;
       for (std::size_t rep = 0; rep < r; ++rep) {
         const std::size_t lo = std::min(idxs.size(), rep * chunk);
-        const std::size_t hi = std::min(idxs.size(), lo + chunk);
-        pool_->submit([&, sv, rep, lo, hi] {
-          DensityGrid& buf = buffers[sv][rep];
-          buf.allocate(halo[sv]);
-          buf.fill(0.0f);
-          scatter_range(buf, halo[sv], bins.bins[sv], lo, hi);
-        });
-        ++stats_.replica_tasks;
+        replicas.push_back(
+            Replica{sv, rep, lo, std::min(idxs.size(), lo + chunk)});
       }
-      any_replicas = true;
     }
-    if (any_replicas) pool_->wait_idle();
+    stats_.replica_tasks += replicas.size();
+    pool_->parallel_for(
+        static_cast<std::int64_t>(replicas.size()), [&](std::int64_t i) {
+          const Replica& rp = replicas[static_cast<std::size_t>(i)];
+          DensityGrid& buf = buffers[rp.tile][rp.rep];
+          buf.allocate(halo[rp.tile]);
+          buf.fill(0.0f);
+          scatter_range(buf, halo[rp.tile], bins.bins[rp.tile], rp.lo, rp.hi);
+        });
 
     // Four parity waves (PD rule): tiles are >= 2Hs wide, so same-parity
     // tiles' cylinders — and the halo accumulations, whose footprint is the
     // same tile +/- Hs — never overlap. The temporal axis has one part, so
     // there is no temporal conflict to phase over.
+    std::vector<std::size_t> wave_tiles;
     for (int wave = 0; wave < 4; ++wave) {
-      bool submitted = false;
+      wave_tiles.clear();
       for (std::int64_t v = 0; v < nsub; ++v) {
         std::int32_t a = 0, b = 0, c = 0;
         dec_.coords(v, a, b, c);
-        if (((a & 1) * 2 + (b & 1)) != wave) continue;
         const auto sv = static_cast<std::size_t>(v);
-        if (!buffers[sv].empty()) {
-          pool_->submit([&, sv] {
-            for (const auto& buf : buffers[sv]) accumulate_buffer(raw_, buf);
-            buffers[sv].clear();  // free the halo memory promptly
-          });
-          submitted = true;
-        } else if (!bins.bins[sv].empty()) {
-          pool_->submit([&, sv] {
-            scatter_range(raw_, whole, bins.bins[sv], 0, bins.bins[sv].size());
-          });
-          submitted = true;
-        }
+        if (((a & 1) * 2 + (b & 1)) == wave &&
+            (!buffers[sv].empty() || !bins.bins[sv].empty()))
+          wave_tiles.push_back(sv);
       }
-      if (submitted) pool_->wait_idle();
+      pool_->parallel_for(
+          static_cast<std::int64_t>(wave_tiles.size()), [&](std::int64_t i) {
+            const std::size_t sv = wave_tiles[static_cast<std::size_t>(i)];
+            if (!buffers[sv].empty()) {
+              for (const auto& buf : buffers[sv]) accumulate_buffer(raw_, buf);
+              buffers[sv].clear();  // free the halo memory promptly
+            } else {
+              scatter_range(raw_, whole, bins.bins[sv], 0,
+                            bins.bins[sv].size());
+            }
+          });
     }
   });
   stats_.table_lookups +=

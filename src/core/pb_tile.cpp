@@ -3,6 +3,7 @@
 #include "core/algorithms.hpp"
 #include "core/detail/common.hpp"
 #include "core/detail/tile_scatter.hpp"
+#include "sched/thread_pool.hpp"
 
 namespace stkde::core {
 
@@ -28,11 +29,12 @@ Result run_pb_tile(const PointSet& pts, const DomainSpec& dom,
   Result res;
   res.diag.algorithm = to_string(Algorithm::kPBTile);
 
+  sched::ThreadPool pool(P);
   {
     util::ScopedPhase init(res.phases, phase::kInit);
     res.grid.allocate(Extent3::whole(s.map.dims()),
                       p.tile.pad_rows ? RowPad::kCacheLine : RowPad::kNone);
-    res.grid.fill_parallel(0.0f, P);
+    res.grid.fill_parallel(0.0f, pool);
   }
 
   // The scheduling decomposition budgets the grid's *allocated* row stride
@@ -60,12 +62,10 @@ Result run_pb_tile(const PointSet& pts, const DomainSpec& dom,
             ? detail::scatter_tile_major(res.grid, whole, s.map, k, pts, p.hs,
                                          p.ht, s.Hs, s.Ht, s.scale, plan.tiles,
                                          bins, p.tile)
-            : detail::scatter_tile_major_parallel(res.grid, whole, s.map, k,
-                                                  pts, p.hs, p.ht, s.Hs, s.Ht,
-                                                  s.scale, plan, bins, p.tile);
-    res.diag.table_cells = st.table_cells;
-    res.diag.span_cells = st.span_cells;
-    res.diag.table_nonzero = st.table_nonzero;
+            : detail::scatter_tile_major_parallel(
+                  res.grid, whole, s.map, k, pts, p.hs, p.ht, s.Hs, s.Ht,
+                  s.scale, plan, bins, p.tile, pool);
+    st.lanes.store(res.diag);
     res.diag.table_lookups = st.lookups;
     res.diag.table_fills = st.fills;
     res.diag.num_colors = static_cast<std::int32_t>(st.waves);

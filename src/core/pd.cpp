@@ -1,5 +1,3 @@
-#include <omp.h>
-
 #include "core/algorithms.hpp"
 #include "core/detail/common.hpp"
 #include "core/detail/scatter.hpp"
@@ -8,20 +6,21 @@
 #include "partition/load.hpp"
 #include "partition/tile_order.hpp"
 #include "sched/critical_path.hpp"
+#include "sched/thread_pool.hpp"
 
 namespace stkde::core {
 
 // Algorithm 6 (PB-SYM-PD): work-efficient point decomposition. Points are
 // binned into their owning subdomain (no replication); subdomains at least
 // 2Hs/2Ht wide guarantee that same-parity subdomains never write the same
-// voxel, so the 8 parity sets run as 8 parallel-for phases. Writes are
+// voxel, so the 8 parity sets run as 8 parallel_for phases. Writes are
 // unclipped — a subdomain's points may spill into neighbors' voxels, which
 // is safe because neighbors are in other parity sets.
 //
 // Tile treatment (docs/SCATTER_CORE.md): each bin is Morton-sorted so a
 // worker walks its subdomain in scatter order, and spatial tables come from
-// a per-worker offset-keyed cache (Params::tile knobs) instead of a fresh
-// fill per point.
+// a leased offset-keyed cache (Params::tile knobs) instead of a fresh fill
+// per point.
 Result run_pb_sym_pd(const PointSet& pts, const DomainSpec& dom,
                      const Params& p) {
   p.validate();
@@ -41,74 +40,57 @@ Result run_pb_sym_pd(const PointSet& pts, const DomainSpec& dom,
     bins = bin_by_owner(pts, s.map, dec);
     sort_bins_by_scatter_key(bins, pts, s.map);
   }
+  // Color (a%2)*4 + (b%2)*2 + c%2: the 8 parity sets, in phase order.
+  const sched::StencilGraph g = sched::StencilGraph::of(dec);
+  const sched::Coloring col = sched::parity_coloring(g);
   {
     // The implied schedule's T1/Tinf under the parity coloring (Fig. 12).
     const auto loads = point_count_loads(bins);
     res.diag.load_imbalance = imbalance(loads).imbalance;
-    const sched::StencilGraph g = sched::StencilGraph::of(dec);
-    const sched::Coloring col = sched::parity_coloring(g);
     res.diag.num_colors = col.num_colors;
     const sched::DagMetrics m = sched::critical_path(g, col, loads);
     res.diag.total_work = m.total_work;
     res.diag.critical_path = m.critical_path;
   }
 
+  sched::ThreadPool pool(P);
   {
     util::ScopedPhase init(res.phases, phase::kInit);
     res.grid.allocate(d);
-    res.grid.fill_parallel(0.0f, P);
+    res.grid.fill_parallel(0.0f, pool);
   }
 
   util::ScopedPhase compute(res.phases, phase::kCompute);
   const Extent3 whole = Extent3::whole(d);
   res.diag.task_seconds.assign(static_cast<std::size_t>(dec.count()), 0.0);
+  std::vector<detail::LaneStats> lanes(static_cast<std::size_t>(dec.count()));
+  std::vector<std::vector<std::int64_t>> sets(
+      static_cast<std::size_t>(col.num_colors));
+  for (std::int64_t v = 0; v < dec.count(); ++v)
+    sets[static_cast<std::size_t>(col.color[static_cast<std::size_t>(v)])]
+        .push_back(v);
+  // Leases return to the pool warm, so a worker keeps finding warm tables
+  // from one subdomain, and one parity set, to the next.
   kernels::TableCachePool cache_pool(
       kernels::TableCacheConfig{p.tile.table_quant, p.tile.cache_bytes}, s.Hs);
   detail::with_kernel(p.kernel, [&](const auto& k) {
-    for (std::int32_t abase = 0; abase <= 1; ++abase) {
-      for (std::int32_t bbase = 0; bbase <= 1; ++bbase) {
-        for (std::int32_t cbase = 0; cbase <= 1; ++cbase) {
-          // One parity set: subdomains (abase+2i, bbase+2j, cbase+2k).
-          std::vector<std::int64_t> set;
-          for (std::int32_t a = abase; a < dec.a(); a += 2)
-            for (std::int32_t b = bbase; b < dec.b(); b += 2)
-              for (std::int32_t c = cbase; c < dec.c(); c += 2)
-                set.push_back(dec.flat(a, b, c));
-          const auto nset = static_cast<std::int64_t>(set.size());
-          std::int64_t cells = 0, span = 0, nz = 0;
-#pragma omp parallel num_threads(P)
-          {
-            // Leased caches persist across the 8 phases, so a worker keeps
-            // its warm tables from one parity set to the next.
+    for (const auto& set : sets)
+      pool.parallel_for(
+          static_cast<std::int64_t>(set.size()), [&](std::int64_t i) {
+            util::Timer task_timer;
             auto cache = cache_pool.acquire();
             kernels::TemporalInvariant kt;
-#pragma omp for schedule(dynamic) reduction(+ : cells, span, nz)
-            for (std::int64_t i = 0; i < nset; ++i) {
-              util::Timer task_timer;
-              const std::int64_t v = set[static_cast<std::size_t>(i)];
-              for (const std::uint32_t idx :
-                   bins.bins[static_cast<std::size_t>(v)]) {
-                const detail::CachedStamp st = detail::scatter_cached(
-                    res.grid, whole, s.map, k,
-                    pts[static_cast<std::size_t>(idx)], p.hs, p.ht, s.Hs,
-                    s.Ht, s.scale, *cache, kt);
-                if (st.filled) {
-                  cells += st.table->cells();
-                  span += st.table->span_cells();
-                  nz += st.table->nonzero();
-                }
-              }
-              res.diag.task_seconds[static_cast<std::size_t>(v)] =
-                  task_timer.seconds();
-            }
-          }
-          res.diag.table_cells += cells;
-          res.diag.span_cells += span;
-          res.diag.table_nonzero += nz;
-        }
-      }
-    }
+            detail::LaneStats ls;
+            const auto v = static_cast<std::size_t>(set[static_cast<std::size_t>(i)]);
+            for (const std::uint32_t idx : bins.bins[v])
+              ls.count(detail::scatter_cached(
+                  res.grid, whole, s.map, k, pts[static_cast<std::size_t>(idx)],
+                  p.hs, p.ht, s.Hs, s.Ht, s.scale, *cache, kt));
+            lanes[v] = ls;
+            res.diag.task_seconds[v] = task_timer.seconds();
+          });
   });
+  detail::LaneStats::sum(lanes).store(res.diag);
   res.diag.table_lookups = cache_pool.lookups();
   res.diag.table_fills = cache_pool.fills();
   return res;

@@ -10,6 +10,7 @@
 #include "partition/tile_order.hpp"
 #include "sched/dag_scheduler.hpp"
 #include "sched/replication.hpp"
+#include "sched/thread_pool.hpp"
 
 namespace stkde::core {
 
@@ -98,10 +99,11 @@ Result run_pb_sym_pd_rep(const PointSet& pts, const DomainSpec& dom,
         buf_bytes + static_cast<std::uint64_t>(d.voxels()) * sizeof(float));
   }
 
+  sched::ThreadPool pool(P);
   {
     util::ScopedPhase init(res.phases, phase::kInit);
     res.grid.allocate(d);
-    res.grid.fill_parallel(0.0f, P);
+    res.grid.fill_parallel(0.0f, pool);
   }
 
   util::ScopedPhase compute(res.phases, phase::kCompute);
@@ -168,15 +170,8 @@ Result run_pb_sym_pd_rep(const PointSet& pts, const DomainSpec& dom,
       for (const std::size_t rid : replica_ids)
         dag.add_edge(rid, write_task[sv]);
     }
-    for (std::int64_t v = 0; v < nsub; ++v) {
-      g.for_neighbors(v, [&](std::int64_t u) {
-        if (col.color[static_cast<std::size_t>(v)] <
-            col.color[static_cast<std::size_t>(u)])
-          dag.add_edge(write_task[static_cast<std::size_t>(v)],
-                       write_task[static_cast<std::size_t>(u)]);
-      });
-    }
-    dag.run(P);
+    sched::add_color_edges(dag, g, col, write_task);
+    dag.run(pool);
     res.diag.task_seconds.resize(dag.task_count());
     for (std::size_t i = 0; i < dag.task_count(); ++i)
       res.diag.task_seconds[i] = dag.finish_times()[i] - dag.start_times()[i];

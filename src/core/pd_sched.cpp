@@ -7,6 +7,7 @@
 #include "partition/tile_order.hpp"
 #include "sched/critical_path.hpp"
 #include "sched/dag_scheduler.hpp"
+#include "sched/thread_pool.hpp"
 
 namespace stkde::core {
 
@@ -49,10 +50,11 @@ Result run_pb_sym_pd_sched(const PointSet& pts, const DomainSpec& dom,
     res.diag.load_imbalance = imbalance(loads).imbalance;
   }
 
+  sched::ThreadPool pool(P);
   {
     util::ScopedPhase init(res.phases, phase::kInit);
     res.grid.allocate(d);
-    res.grid.fill_parallel(0.0f, P);
+    res.grid.fill_parallel(0.0f, pool);
   }
 
   util::ScopedPhase compute(res.phases, phase::kCompute);
@@ -78,14 +80,8 @@ Result run_pb_sym_pd_sched(const PointSet& pts, const DomainSpec& dom,
           },
           loads[static_cast<std::size_t>(v)]);
     }
-    for (std::int64_t v = 0; v < nsub; ++v) {
-      g.for_neighbors(v, [&](std::int64_t u) {
-        if (col.color[static_cast<std::size_t>(v)] <
-            col.color[static_cast<std::size_t>(u)])
-          dag.add_edge(static_cast<std::size_t>(v), static_cast<std::size_t>(u));
-      });
-    }
-    dag.run(P);
+    sched::add_color_edges(dag, g, col);
+    dag.run(pool);
     for (std::int64_t v = 0; v < nsub; ++v)
       res.diag.task_seconds[static_cast<std::size_t>(v)] =
           dag.finish_times()[static_cast<std::size_t>(v)] -

@@ -10,6 +10,7 @@
 #include "partition/load.hpp"
 #include "sched/critical_path.hpp"
 #include "sched/dag_scheduler.hpp"
+#include "sched/thread_pool.hpp"
 #include "util/env.hpp"
 
 namespace stkde::core {
@@ -142,10 +143,11 @@ Result run_pd_sched(const PointSet& pts, const std::vector<double>& w,
     res.diag.critical_path = m.critical_path;
     res.diag.load_imbalance = imbalance(loads).imbalance;
   }
+  sched::ThreadPool pool(P);
   {
     util::ScopedPhase init(res.phases, phase::kInit);
     res.grid.allocate(map.dims());
-    res.grid.fill_parallel(0.0f, P);
+    res.grid.fill_parallel(0.0f, pool);
   }
   if (wsum <= 0.0) return res;
   util::ScopedPhase compute(res.phases, phase::kCompute);
@@ -167,15 +169,8 @@ Result run_pd_sched(const PointSet& pts, const std::vector<double>& w,
           },
           loads[static_cast<std::size_t>(v)]);
     }
-    for (std::int64_t v = 0; v < dec.count(); ++v) {
-      g.for_neighbors(v, [&](std::int64_t u) {
-        if (col.color[static_cast<std::size_t>(v)] <
-            col.color[static_cast<std::size_t>(u)])
-          dag.add_edge(static_cast<std::size_t>(v),
-                       static_cast<std::size_t>(u));
-      });
-    }
-    dag.run(P);
+    sched::add_color_edges(dag, g, col);
+    dag.run(pool);
   });
   return res;
 }

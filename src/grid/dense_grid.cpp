@@ -1,9 +1,9 @@
 #include "grid/dense_grid.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cmath>
+
+#include "sched/thread_pool.hpp"
 
 namespace stkde {
 
@@ -19,36 +19,17 @@ void DenseGrid3<T>::fill(T v) {
   std::fill_n(data_.get(), static_cast<std::size_t>(size_), v);
 }
 
-#if defined(__SANITIZE_THREAD__)
-#define STKDE_TSAN_BUILD 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define STKDE_TSAN_BUILD 1
-#endif
-#endif
-
 template <typename T>
-void DenseGrid3<T>::fill_parallel(T v, int threads) {
-#ifdef STKDE_TSAN_BUILD
-  // Stock libgomp is not TSan-instrumented — its fork/join barriers report
-  // false races on anything the region touched. The fill is trivially
-  // disjoint, so under TSan it degrades to the serial fill and the
-  // sanitizer validates the interesting schedules (thread pool, waves).
-  (void)threads;
-  fill(v);
-#else
+void DenseGrid3<T>::fill_parallel(T v, sched::ThreadPool& pool) {
   T* const p = data_.get();
   const std::int64_t n = size_;
-#pragma omp parallel num_threads(threads > 0 ? threads : omp_get_max_threads())
-  {
-    const int nt = omp_get_num_threads();
-    const int id = omp_get_thread_num();
-    const std::int64_t chunk = (n + nt - 1) / nt;
+  const std::int64_t nt = pool.size();
+  const std::int64_t chunk = (n + nt - 1) / nt;
+  pool.parallel_for(nt, [&](std::int64_t id) {
     const std::int64_t lo = std::min<std::int64_t>(n, id * chunk);
     const std::int64_t hi = std::min<std::int64_t>(n, lo + chunk);
     std::fill(p + lo, p + hi, v);
-  }
-#endif
+  });
 }
 
 template <typename T>

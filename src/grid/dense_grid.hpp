@@ -30,6 +30,10 @@
 #include "grid/extent.hpp"
 #include "util/memory.hpp"
 
+namespace stkde::sched {
+class ThreadPool;
+}  // namespace stkde::sched
+
 namespace stkde {
 
 /// Row-stride policy for DenseGrid3 allocations.
@@ -120,9 +124,10 @@ class DenseGrid3 {
   /// Sequential initialization (the PB "init" phase).
   void fill(T v);
 
-  /// Parallel first-touch initialization with \p threads OpenMP threads.
-  /// The paper observes this phase is memory-bound (speedup ~3 at 16T).
-  void fill_parallel(T v, int threads);
+  /// Parallel first-touch initialization, one flat chunk per worker of
+  /// \p pool. The paper observes this phase is memory-bound (speedup ~3
+  /// at 16T).
+  void fill_parallel(T v, sched::ThreadPool& pool);
 
   /// this = src. Allocates to src's extent when not yet allocated; throws
   /// on extent mismatch otherwise. SIMD flat copy (the streaming engine's

@@ -1,15 +1,16 @@
 #include "grid/reduction.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <stdexcept>
+
+#include "sched/thread_pool.hpp"
 
 namespace stkde {
 
 template <typename T>
 void reduce_replicas(DenseGrid3<T>& dst,
-                     const std::vector<DenseGrid3<T>>& replicas, int threads) {
+                     const std::vector<DenseGrid3<T>>& replicas,
+                     sched::ThreadPool& pool) {
   bool any_padded = dst.padded();
   for (const auto& r : replicas) {
     if (!(r.extent() == dst.extent()))
@@ -25,18 +26,16 @@ void reduce_replicas(DenseGrid3<T>& dst,
   }
   T* const out = dst.data();
   const std::int64_t n = dst.size();
-#pragma omp parallel num_threads(threads > 0 ? threads : omp_get_max_threads())
-  {
-    const int nt = omp_get_num_threads();
-    const int id = omp_get_thread_num();
-    const std::int64_t chunk = (n + nt - 1) / nt;
+  const std::int64_t nt = pool.size();
+  const std::int64_t chunk = (n + nt - 1) / nt;
+  pool.parallel_for(nt, [&](std::int64_t id) {
     const std::int64_t lo = std::min<std::int64_t>(n, id * chunk);
     const std::int64_t hi = std::min<std::int64_t>(n, lo + chunk);
     for (const auto& r : replicas) {
       const T* const in = r.data();
       for (std::int64_t i = lo; i < hi; ++i) out[i] += in[i];
     }
-  }
+  });
 }
 
 template <typename T>
@@ -54,10 +53,11 @@ void accumulate_buffer(DenseGrid3<T>& dst, const DenseGrid3<T>& src) {
 }
 
 template void reduce_replicas<float>(DenseGrid3<float>&,
-                                     const std::vector<DenseGrid3<float>>&, int);
+                                     const std::vector<DenseGrid3<float>>&,
+                                     sched::ThreadPool&);
 template void reduce_replicas<double>(DenseGrid3<double>&,
                                       const std::vector<DenseGrid3<double>>&,
-                                      int);
+                                      sched::ThreadPool&);
 template void accumulate_buffer<float>(DenseGrid3<float>&,
                                        const DenseGrid3<float>&);
 template void accumulate_buffer<double>(DenseGrid3<double>&,

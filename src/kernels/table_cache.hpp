@@ -215,7 +215,7 @@ class SpatialTableCache {
 /// bounded by P × TableCacheConfig::max_bytes.
 ///
 /// The aggregate counters are safe to read once every lease has been
-/// returned (end of a parallel region / ThreadPool::wait_idle): the lease
+/// returned (after ThreadPool::parallel_for or DagScheduler::run): the lease
 /// release takes the pool mutex, which orders the workers' counter writes
 /// before the reader's sums.
 class TableCachePool {

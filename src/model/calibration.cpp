@@ -7,6 +7,7 @@
 #include "grid/dense_grid.hpp"
 #include "grid/reduction.hpp"
 #include "partition/binning.hpp"
+#include "sched/thread_pool.hpp"
 #include "util/memory.hpp"
 #include "util/timer.hpp"
 
@@ -58,9 +59,10 @@ MachineProfile calibrate(std::uint64_t budget_bytes) {
     reps.emplace_back(GridDims{128, 128, 128});
     dst.fill(0.0f);
     for (auto& r : reps) r.fill(1.0f);
+    sched::ThreadPool pool(1);
     m.reduce_bytes_per_sec = measure_rate(
         static_cast<double>(dst.bytes()) * 2, 0.02,
-        [&] { reduce_replicas(dst, reps, 1); });
+        [&] { reduce_replicas(dst, reps, pool); });
   }
 
   // --- PB-SYM scatter throughput (cylinder voxels / s) --------------------

@@ -51,6 +51,51 @@ void ThreadPool::wait_idle() {
   }
 }
 
+void ThreadPool::parallel_for(std::int64_t n,
+                              const std::function<void(std::int64_t)>& body) {
+  // Per-call state on this frame: the wait below outlives every task that
+  // references it. An error moves `next` past n, so no task starts another
+  // index.
+  struct Loop {
+    std::atomic<std::int64_t> next{0};
+    util::Mutex mu;
+    util::CondVar cv;
+    std::int64_t running STKDE_GUARDED_BY(mu) = 0;
+    std::exception_ptr error STKDE_GUARDED_BY(mu);
+  } loop;
+  // One task done, keeping the first error. The notify stays under the
+  // lock: once running reads 0 the caller may return and destroy cv.
+  const auto finish = [&loop, n](std::exception_ptr e) {
+    if (e) loop.next.store(n);
+    util::LockGuard lk(loop.mu);
+    if (!loop.error) loop.error = std::move(e);
+    if (--loop.running == 0) loop.cv.notify_all();
+  };
+  for (std::int64_t t = 0; t < std::min<std::int64_t>(n, size()); ++t) {
+    {
+      util::LockGuard lk(loop.mu);
+      ++loop.running;
+    }
+    try {
+      submit([&loop, &body, &finish, n] {
+        std::exception_ptr err;
+        try {
+          for (std::int64_t i = loop.next++; i < n; i = loop.next++) body(i);
+        } catch (...) {
+          err = std::current_exception();
+        }
+        finish(std::move(err));
+      });
+    } catch (...) {
+      finish(std::current_exception());
+      break;
+    }
+  }
+  util::UniqueLock lk(loop.mu);
+  while (loop.running > 0) loop.cv.wait(lk);
+  if (loop.error) std::rethrow_exception(loop.error);
+}
+
 std::uint64_t ThreadPool::cancelled() const {
   util::LockGuard lk(mu_);
   return cancelled_;

@@ -1,8 +1,12 @@
 #pragma once
 /// \file thread_pool.hpp
-/// A fixed-size worker pool. The DAG scheduler sits on top of it; keeping
-/// the pool separate lets tests exercise pool semantics (ordering, reuse,
-/// exception propagation) independently of DAG logic.
+/// A fixed-size worker pool: the repo's one parallel runtime. Every
+/// parallel strategy runs on it — DR, DD, PD and PB-TILE through
+/// parallel_for, PD-SCHED/REP through the DAG scheduler (sched/
+/// dag_scheduler.hpp), which sits on top of submit() — as do the streaming
+/// engine's ingest waves and the serve executor. Keeping the pool separate
+/// lets tests exercise pool semantics (ordering, reuse, exception
+/// propagation) independently of DAG logic.
 ///
 /// Priorities: three strict levels (kHigh > kNormal > kLow). A worker
 /// always drains higher levels first — under overload this is what lets
@@ -67,6 +71,18 @@ class ThreadPool {
   /// Block until the queue is empty and all workers are idle. If any task
   /// threw, rethrows the first captured exception.
   void wait_idle() STKDE_EXCLUDES(mu_);
+
+  /// Run body(i) for every i in [0, n) on the workers and block until done.
+  /// Indices are handed out dynamically, one at a time, to at most size()
+  /// tasks (OpenMP's schedule(dynamic)); which worker runs an index is
+  /// unspecified, so per-index outputs must not depend on it. Returns only
+  /// after every submitted task has finished — also when a body or a
+  /// submit throws — and then rethrows the first error; after an error no
+  /// further index is started. Must not be called from the pool's own
+  /// tasks: the caller blocks while the workers run the bodies.
+  void parallel_for(std::int64_t n,
+                    const std::function<void(std::int64_t)>& body)
+      STKDE_EXCLUDES(mu_);
 
   /// Tasks dropped at dequeue because their cancel flag was set.
   [[nodiscard]] std::uint64_t cancelled() const STKDE_EXCLUDES(mu_);

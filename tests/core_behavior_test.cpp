@@ -228,8 +228,14 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Determinism, RepeatedRunsAreBitIdentical) {
   TinyInstance t = make_tiny(120, 3, 2);
+  // Four workers, so the parallel strategies' dynamic task-to-worker
+  // assignment can differ between the two runs; PB-TILE inherits them.
+  t.params.threads = 4;
+  t.params.tile.threads = 0;
   for (const Algorithm a :
-       {Algorithm::kPBSym, Algorithm::kPBSymDD, Algorithm::kPBSymPDSched}) {
+       {Algorithm::kPBSym, Algorithm::kPBSymDD, Algorithm::kPBSymPDSched,
+        Algorithm::kPBSymDR, Algorithm::kPBSymPD, Algorithm::kPBSymPDRep,
+        Algorithm::kPBSymPDSchedRep, Algorithm::kPBTile}) {
     const Result r1 = estimate(t.points, t.domain, t.params, a);
     const Result r2 = estimate(t.points, t.domain, t.params, a);
     EXPECT_DOUBLE_EQ(r1.grid.max_abs_diff(r2.grid), 0.0) << to_string(a);

@@ -4,6 +4,7 @@
 
 #include "grid/extent.hpp"
 #include "helpers.hpp"
+#include "sched/thread_pool.hpp"
 
 namespace stkde {
 namespace {
@@ -85,7 +86,8 @@ TEST(DenseGrid, FillSetsEverything) {
 TEST(DenseGrid, FillParallelMatchesFill) {
   DenseGrid3<float> a(GridDims{8, 9, 10}), b(GridDims{8, 9, 10});
   a.fill(1.25f);
-  b.fill_parallel(1.25f, 4);
+  sched::ThreadPool pool(4);
+  b.fill_parallel(1.25f, pool);
   EXPECT_DOUBLE_EQ(a.max_abs_diff(b), 0.0);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sched/thread_pool.hpp"
 #include "util/rng.hpp"
 
 namespace stkde {
@@ -23,7 +24,8 @@ TEST(ReduceReplicas, SumsAllReplicas) {
   reps.push_back(random_grid(e, 1));
   reps.push_back(random_grid(e, 2));
   reps.push_back(random_grid(e, 3));
-  reduce_replicas(dst, reps, 2);
+  sched::ThreadPool pool(2);
+  reduce_replicas(dst, reps, pool);
   for (std::int64_t i = 0; i < dst.size(); ++i) {
     const float expect =
         reps[0].data()[i] + reps[1].data()[i] + reps[2].data()[i];
@@ -38,7 +40,8 @@ TEST(ReduceReplicas, AddsOntoExistingContent) {
   std::vector<DenseGrid3<float>> reps;
   reps.emplace_back(e);
   reps.back().fill(1.0f);
-  reduce_replicas(dst, reps, 1);
+  sched::ThreadPool pool(1);
+  reduce_replicas(dst, reps, pool);
   EXPECT_FLOAT_EQ(dst.at(1, 1, 1), 11.0f);
 }
 
@@ -46,7 +49,8 @@ TEST(ReduceReplicas, EmptyReplicaListIsNoop) {
   const Extent3 e{0, 2, 0, 2, 0, 2};
   DenseGrid3<float> dst(e);
   dst.fill(5.0f);
-  reduce_replicas(dst, {}, 3);
+  sched::ThreadPool pool(3);
+  reduce_replicas(dst, {}, pool);
   EXPECT_FLOAT_EQ(dst.at(0, 0, 0), 5.0f);
 }
 
@@ -58,8 +62,9 @@ TEST(ReduceReplicas, ThreadCountDoesNotChangeResult) {
   DenseGrid3<float> d1(e), d4(e);
   d1.fill(0.0f);
   d4.fill(0.0f);
-  reduce_replicas(d1, reps, 1);
-  reduce_replicas(d4, reps, 4);
+  sched::ThreadPool pool1(1), pool4(4);
+  reduce_replicas(d1, reps, pool1);
+  reduce_replicas(d4, reps, pool4);
   EXPECT_DOUBLE_EQ(d1.max_abs_diff(d4), 0.0);
 }
 
@@ -77,7 +82,8 @@ TEST(ReduceReplicas, PaddedGridsUseTheRowAwarePath) {
       r.allocate(GridDims{3, 3, 5});
     r.fill(static_cast<float>(i + 1));
   }
-  reduce_replicas(dst, reps, 2);
+  sched::ThreadPool pool(2);
+  reduce_replicas(dst, reps, pool);
   EXPECT_DOUBLE_EQ(dst.sum(), 3.0 * 3 * 3 * 5);
   EXPECT_FLOAT_EQ(dst.at(2, 2, 4), 3.0f);
 }
@@ -86,7 +92,8 @@ TEST(ReduceReplicas, RejectsMismatchedExtent) {
   DenseGrid3<float> dst(Extent3{0, 2, 0, 2, 0, 2});
   std::vector<DenseGrid3<float>> reps;
   reps.emplace_back(Extent3{0, 3, 0, 2, 0, 2});
-  EXPECT_THROW(reduce_replicas(dst, reps, 1), std::invalid_argument);
+  sched::ThreadPool pool(1);
+  EXPECT_THROW(reduce_replicas(dst, reps, pool), std::invalid_argument);
 }
 
 TEST(AccumulateBuffer, AddsOverlapRegionOnly) {

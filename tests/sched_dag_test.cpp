@@ -7,6 +7,8 @@
 #include <thread>
 #include <vector>
 
+#include "sched/thread_pool.hpp"
+
 namespace stkde::sched {
 namespace {
 
@@ -14,13 +16,15 @@ TEST(DagScheduler, RunsEveryTaskOnce) {
   DagScheduler dag;
   std::atomic<int> count{0};
   for (int i = 0; i < 20; ++i) dag.add_task([&] { ++count; });
-  dag.run(4);
+  ThreadPool pool(4);
+  dag.run(pool);
   EXPECT_EQ(count.load(), 20);
 }
 
 TEST(DagScheduler, EmptyDagIsFine) {
   DagScheduler dag;
-  EXPECT_NO_THROW(dag.run(2));
+  ThreadPool pool(2);
+  EXPECT_NO_THROW(dag.run(pool));
   EXPECT_DOUBLE_EQ(dag.makespan(), 0.0);
 }
 
@@ -37,7 +41,8 @@ TEST(DagScheduler, RespectsDependencies) {
   const auto c = dag.add_task([&] { record(2); });
   dag.add_edge(a, b);
   dag.add_edge(b, c);
-  dag.run(4);
+  ThreadPool pool(4);
+  dag.run(pool);
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
 }
@@ -53,7 +58,8 @@ TEST(DagScheduler, DiamondDependency) {
   dag.add_edge(src, m2);
   dag.add_edge(m1, sink);
   dag.add_edge(m2, sink);
-  dag.run(3);
+  ThreadPool pool(3);
+  dag.run(pool);
   EXPECT_EQ(stage.load(), 2);
   // Sink finished last.
   EXPECT_GE(dag.finish_times()[sink], dag.finish_times()[m1]);
@@ -71,7 +77,8 @@ TEST(DagScheduler, PrioritiesOrderReadyTasksSingleThread) {
   dag.add_task([&] { record(0); }, 1.0);
   dag.add_task([&] { record(1); }, 10.0);
   dag.add_task([&] { record(2); }, 5.0);
-  dag.run(1);
+  ThreadPool pool(1);
+  dag.run(pool);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
 }
 
@@ -81,7 +88,8 @@ TEST(DagScheduler, DetectsCycles) {
   const auto b = dag.add_task([] {});
   dag.add_edge(a, b);
   dag.add_edge(b, a);
-  EXPECT_THROW(dag.run(2), std::logic_error);
+  ThreadPool pool(2);
+  EXPECT_THROW(dag.run(pool), std::logic_error);
 }
 
 TEST(DagScheduler, DetectsPartialCycleAfterProgress) {
@@ -92,14 +100,16 @@ TEST(DagScheduler, DetectsPartialCycleAfterProgress) {
   dag.add_edge(a, b);
   dag.add_edge(b, c);
   dag.add_edge(c, b);
-  EXPECT_THROW(dag.run(2), std::logic_error);
+  ThreadPool pool(2);
+  EXPECT_THROW(dag.run(pool), std::logic_error);
 }
 
 TEST(DagScheduler, PropagatesTaskExceptions) {
   DagScheduler dag;
   dag.add_task([] { throw std::runtime_error("task failed"); });
   dag.add_task([] {});
-  EXPECT_THROW(dag.run(2), std::runtime_error);
+  ThreadPool pool(2);
+  EXPECT_THROW(dag.run(pool), std::runtime_error);
 }
 
 TEST(DagScheduler, RejectsBadEdges) {
@@ -115,7 +125,8 @@ TEST(DagScheduler, TimestampsAreConsistent) {
       [] { std::this_thread::sleep_for(std::chrono::milliseconds(2)); });
   const auto b = dag.add_task([] {});
   dag.add_edge(a, b);
-  dag.run(2);
+  ThreadPool pool(2);
+  dag.run(pool);
   EXPECT_GE(dag.finish_times()[a], dag.start_times()[a]);
   EXPECT_GE(dag.start_times()[b], dag.finish_times()[a] - 1e-9);
   EXPECT_GE(dag.makespan(), dag.finish_times()[a]);
@@ -132,7 +143,8 @@ TEST(DagScheduler, ManyTasksManyThreads) {
     layer1.push_back(dag.add_task([&] { ++count; }));
   for (const auto a : layer0)
     for (const auto b : layer1) dag.add_edge(a, b);
-  dag.run(8);
+  ThreadPool pool(8);
+  dag.run(pool);
   EXPECT_EQ(count.load(), 32);
 }
 

@@ -12,6 +12,7 @@
 #include "sched/critical_path.hpp"
 #include "sched/dag_scheduler.hpp"
 #include "sched/simulator.hpp"
+#include "sched/thread_pool.hpp"
 #include "util/rng.hpp"
 
 namespace stkde::sched {
@@ -38,7 +39,8 @@ double run_real_dag(const StencilGraph& g, const Coloring& c,
         dag.add_edge(static_cast<std::size_t>(v), static_cast<std::size_t>(u));
     });
   }
-  dag.run(P);
+  ThreadPool pool(P);
+  dag.run(pool);
   return dag.makespan();
 }
 
@@ -111,7 +113,8 @@ TEST(SchedIntegration, AllColoringOrdersYieldValidExecutions) {
                        static_cast<std::size_t>(u));
       });
     }
-    dag.run(4);
+    ThreadPool pool(4);
+    dag.run(pool);
     EXPECT_EQ(executed.load(), 27) << to_string(order);
     EXPECT_FALSE(conflict.load()) << to_string(order)
                                   << ": adjacent tasks ran concurrently";
@@ -137,7 +140,8 @@ TEST(SchedIntegration, ParityDagMatchesPhasedSemantics) {
         dag.add_edge(static_cast<std::size_t>(v), static_cast<std::size_t>(u));
     });
   }
-  dag.run(3);
+  ThreadPool pool(3);
+  dag.run(pool);
   for (std::int64_t v = 0; v < 16; ++v) {
     g.for_neighbors(v, [&](std::int64_t u) {
       if (c.color[static_cast<std::size_t>(v)] <

@@ -7,6 +7,8 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace stkde::sched {
@@ -192,6 +194,48 @@ TEST(ThreadPool, CancelTokenDoesNotAffectRunningTasks) {
   }
   pool.wait_idle();
   EXPECT_EQ(pool.cancelled(), 0u);
+}
+
+TEST(ThreadPool, ParallelForRunsEachIndexExactlyOnce) {
+  ThreadPool pool(4);
+  constexpr std::int64_t kN = 1000;
+  std::vector<std::atomic<int>> hits(kN);
+  pool.parallel_for(kN, [&](std::int64_t i) {
+    hits[static_cast<std::size_t>(i)].fetch_add(1);
+  });
+  for (std::int64_t i = 0; i < kN; ++i)
+    EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "index " << i;
+  // An empty range submits nothing and returns at once.
+  pool.parallel_for(0, [](std::int64_t) { FAIL() << "body ran for n = 0"; });
+}
+
+TEST(ThreadPool, ParallelForWaitsForSiblingsThenRethrows) {
+  ThreadPool pool(2);
+  std::atomic<bool> slow_started{false}, slow_done{false};
+  EXPECT_THROW(
+      pool.parallel_for(2,
+                        [&](std::int64_t i) {
+                          if (i == 0) {
+                            slow_started = true;
+                            std::this_thread::sleep_for(
+                                std::chrono::milliseconds(50));
+                            slow_done = true;
+                            return;
+                          }
+                          // Throw while the slow sibling is mid-body.
+                          while (!slow_started) std::this_thread::yield();
+                          throw std::runtime_error("body failed");
+                        }),
+      std::runtime_error);
+  // parallel_for returned only after the slower sibling finished.
+  EXPECT_TRUE(slow_done.load());
+  // The pool runs new work afterwards, and the error was not left behind
+  // for wait_idle to rethrow.
+  std::atomic<int> ran{0};
+  pool.submit([&] { ++ran; });
+  EXPECT_NO_THROW(pool.wait_idle());
+  pool.parallel_for(8, [&](std::int64_t) { ++ran; });
+  EXPECT_EQ(ran.load(), 9);
 }
 
 }  // namespace

@@ -10,9 +10,9 @@
 ///  (4) request consistency — every response within one request carries the
 ///      same version (the straddle bug density_at() used to exhibit).
 ///
-/// This test runs under TSan in CI (serve_concurrency is in the tsan job's
-/// ctest regex), so it is also the data-race detector for the whole
-/// registry/session/wire stack.
+/// This test runs under TSan in CI (the tsan job runs the whole suite), so
+/// it is also the data-race detector for the whole registry/session/wire
+/// stack.
 
 #include "serve/snapshot_registry.hpp"
 

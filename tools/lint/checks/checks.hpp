@@ -17,6 +17,7 @@ std::unique_ptr<Check> make_checked_io_check();
 std::unique_ptr<Check> make_determinism_check();
 std::unique_ptr<Check> make_float_key_check();
 std::unique_ptr<Check> make_wire_cast_check();
+std::unique_ptr<Check> make_omp_runtime_check();
 /// \p known_checks: every registered name, so allow(<typo>) is rejected.
 std::unique_ptr<Check> make_suppression_audit_check(
     std::vector<std::string> known_checks);

@@ -12,6 +12,7 @@ Registry build_registry() {
   r.push_back(make_determinism_check());
   r.push_back(make_float_key_check());
   r.push_back(make_wire_cast_check());
+  r.push_back(make_omp_runtime_check());
   std::vector<std::string> names;
   names.reserve(r.size() + 1);
   for (const auto& c : r) names.emplace_back(c->name());

@@ -81,25 +81,28 @@ void dump(const LintResult& r, const char* label) {
 void test_fire_tree(const std::string& fixdir) {
   const LintResult r = lint_tree(fixdir + "/fire");
   EXPECT(r.errors.empty());
-  EXPECT_EQ(r.files_scanned, 6);
+  EXPECT_EQ(r.files_scanned, 7);
 
   // Every check demonstrably fires on its positive fixture, and fires the
   // exact number of seeded violations — no over-, no under-reporting.
   const auto counts = by_check(r);
-  EXPECT_EQ(counts.size(), 6u);
+  EXPECT_EQ(counts.size(), 7u);
   EXPECT_EQ(count_in(r, "src/sched/dag_mutex.cpp", "raw-mutex"), 5);
   EXPECT_EQ(count_in(r, "src/io/export.cpp", "checked-io"), 5);
   EXPECT_EQ(count_in(r, "src/core/seeding.cpp", "determinism"), 5);
   EXPECT_EQ(count_in(r, "src/kernels/cache_key.hpp", "float-key"), 2);
   EXPECT_EQ(count_in(r, "src/serve/wire.cpp", "wire-cast"), 2);
+  EXPECT_EQ(count_in(r, "src/grid/omp_fill.cpp", "omp-runtime"), 6);
   EXPECT_EQ(count_in(r, "src/core/suppressions.cpp", "suppression-audit"), 5);
   // A well-formed suppression naming the WRONG check saves nothing.
   EXPECT_EQ(count_in(r, "src/core/suppressions.cpp", "checked-io"), 1);
-  EXPECT_EQ(r.findings.size(), 25u);
+  EXPECT_EQ(r.findings.size(), 31u);
 
   // Line anchoring: the two seeded wire casts, exactly where they stand.
   EXPECT(has(r, "src/serve/wire.cpp", 11, "wire-cast"));
   EXPECT(has(r, "src/serve/wire.cpp", 15, "wire-cast"));
+  // ...and the runtime pragma that -fopenmp-simd would silently serialize.
+  EXPECT(has(r, "src/grid/omp_fill.cpp", 16, "omp-runtime"));
 
   if (failures != 0) dump(r, "fire");
 }
@@ -107,7 +110,7 @@ void test_fire_tree(const std::string& fixdir) {
 void test_clean_tree(const std::string& fixdir) {
   const LintResult r = lint_tree(fixdir + "/clean");
   EXPECT(r.errors.empty());
-  EXPECT_EQ(r.files_scanned, 6);
+  EXPECT_EQ(r.files_scanned, 7);
   EXPECT_EQ(r.findings.size(), 0u);
   if (!r.findings.empty()) dump(r, "clean");
 }
@@ -129,9 +132,11 @@ void test_check_subset(const std::string& fixdir) {
 
 void test_registry() {
   const auto registry = stkde::lint::build_registry();
-  EXPECT_EQ(registry.size(), 6u);
-  const char* expected[] = {"raw-mutex",  "checked-io", "determinism",
-                            "float-key",  "wire-cast",  "suppression-audit"};
+  EXPECT_EQ(registry.size(), 7u);
+  const char* expected[] = {"raw-mutex",   "checked-io",
+                            "determinism", "float-key",
+                            "wire-cast",   "omp-runtime",
+                            "suppression-audit"};
   for (std::size_t i = 0; i < registry.size(); ++i) {
     EXPECT_EQ(std::string(registry[i]->name()), std::string(expected[i]));
     EXPECT(!registry[i]->rationale().empty());
