@@ -277,7 +277,6 @@ int main(int argc, char** argv) {
 
   core::StreamConfig scfg;
   scfg.threads = 2;
-  scfg.tiles = DecompRequest{8, 8, 1};
   core::IncrementalEstimator inc(city, params, scfg);
   serve::SnapshotRegistry reg(inc);
   {

@@ -109,7 +109,6 @@ int main(int argc, char** argv) {
 
   core::StreamConfig cfg;
   cfg.threads = 2;
-  cfg.tiles = DecompRequest{8, 8, 1};
   core::IncrementalEstimator inc(city, params, cfg);
   serve::SnapshotRegistry reg(inc);
 

@@ -284,12 +284,4 @@ double simulate_dr_seconds(const PhaseModel& m, int P) {
   return init + compute + reduce + m.bin_seq;
 }
 
-double lpt_makespan(std::vector<double> costs, int P) {
-  std::sort(costs.begin(), costs.end(), std::greater<>());
-  std::vector<double> load(static_cast<std::size_t>(std::max(1, P)), 0.0);
-  for (double c : costs)
-    *std::min_element(load.begin(), load.end()) += c;
-  return *std::max_element(load.begin(), load.end());
-}
-
 }  // namespace stkde::bench

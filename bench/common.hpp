@@ -135,9 +135,4 @@ struct PhaseModel {
 [[nodiscard]] bool paper_scale_oom(const data::InstanceSpec& laptop_spec,
                                    std::uint64_t laptop_bytes_needed);
 
-/// LPT makespan of \p costs on P workers (greedy longest-processing-time;
-/// costs are sorted inside). The modeled-acceptance basis shared by
-/// bench_streaming and bench_scatter_core's parallel-tile rows.
-[[nodiscard]] double lpt_makespan(std::vector<double> costs, int P);
-
 }  // namespace stkde::bench

@@ -42,23 +42,16 @@ enum class Algorithm {
 /// True for the multi-threaded strategies (the PB-SYM-* family).
 [[nodiscard]] bool is_parallel(Algorithm a);
 
-/// Wave schedule for the parallel tile walk (docs/SCATTER_CORE.md
-/// "Parity-wave parallel tiles").
-enum class TileWaveMode {
-  kAuto,    ///< parity waves when tiles satisfy the 2Hs PD rule (re-clamping
-            ///< the tiling if that keeps enough tiles per wave), otherwise
-            ///< owner-computes halo buffers
-  kParity,  ///< force parity waves (re-clamps narrow tilings)
-  kHalo,    ///< force owner-computes halo buffers on the byte-budget tiling
-};
-
 /// Tile-engine knobs (docs/SCATTER_CORE.md "The tile-major engine").
-/// tile_bytes/pad_rows/threads/waves govern Algorithm::kPBTile and the
-/// streaming batch-ingest path; the cache knobs (table_quant, cache_bytes)
-/// additionally configure the per-worker table caches of the DD/PD family
-/// and the sharded streaming scatter — in particular, table_quant > 0 makes
+/// tile_bytes/pad_rows/threads govern Algorithm::kPBTile; the streaming
+/// engine plans every ingest batch from the same tile_bytes and cache knobs
+/// (its thread count is StreamConfig::threads). The cache knobs
+/// (table_quant, cache_bytes) additionally configure the per-worker table
+/// caches of the DR/DD/PD family — in particular, table_quant > 0 makes
 /// *all* of those strategies quantized-approximate (within the documented
-/// 1/Q offset bound), not just PB-TILE.
+/// 1/Q offset bound), not just PB-TILE. The parallel schedule is not a
+/// knob: plan_tile_schedule picks parity waves on the finest 2Hs-safe
+/// tiling, or halo buffers when that tiling cannot feed every wave.
 struct TileParams {
   /// Grid bytes a tile may map onto — the working set that should stay
   /// L2-resident while its cylinders stamp.
@@ -81,9 +74,6 @@ struct TileParams {
   /// 0 = inherit Params::threads resolution, N > 1 = parallel waves on the
   /// repo's sched::ThreadPool.
   int threads = 1;
-
-  /// How the parallel walk schedules its tiles (ignored when threads == 1).
-  TileWaveMode waves = TileWaveMode::kAuto;
 };
 
 /// Run parameters. hs/ht are in domain units; everything else has usable
@@ -97,7 +87,7 @@ struct Params {
   /// Decomposition request for the DD/PD family (paper sweeps 1^3..64^3).
   DecompRequest decomp{8, 8, 8};
 
-  /// Tile-engine knobs for the kPBTile strategy.
+  /// Tile-engine knobs for the kPBTile strategy and streaming ingest.
   TileParams tile{};
 
   /// Coloring order for SCHED/REP (PD-SCHED default: load descending).

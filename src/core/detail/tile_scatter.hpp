@@ -17,34 +17,39 @@
 ///     offsets (kernels/table_cache.hpp) — a point revisited by its next
 ///     tile, or any co-located point, reuses the table instead of refilling.
 ///
-/// With TileEngineConfig::table_quant == 0 (the default) the cache keys on
+/// With TileParams::table_quant == 0 (the default) the cache keys on
 /// exact offsets and the engine is a pure reordering of PB-SYM's arithmetic
 /// (same tables, float accumulation order permuted). Quantized mode trades
 /// a bounded kernel-argument perturbation (< sres·√2/(Q·hs)) for hits on
 /// approximately co-located data.
 ///
-/// The parallel walk (scatter_tile_major_parallel) runs the tiles on the
-/// caller's sched::ThreadPool under one of two conflict-free schedules
-/// picked by plan_tile_schedule (recorded in Result::diag.tile_schedule):
+/// One entry point, scatter_tile_major, runs a plan from
+/// plan_tile_schedule (recorded in Result::diag.tile_schedule) for PB-TILE
+/// and for every streaming ingest batch. With one thread it walks the
+/// byte-budget tiling serially; with P > 1 it runs the tiles on the caller's
+/// sched::ThreadPool under one of two conflict-free schedules:
 ///  - parity waves: owner-binned tiles at least 2Hs wide per spatial axis
 ///    never write the same voxel when they agree on (a, b) parity, so the
-///    four (a%2, b%2) classes run as four synchronization-free waves — the
-///    PD rule the streaming engine already exercises. Tiles sized from
-///    tile_bytes can be narrower than 2Hs; the scheduling decomposition is
-///    then re-clamped (Decomposition::clamped).
-///  - halo buffers: when re-clamping would leave too few tiles per wave to
-///    feed the workers, the byte-budget tiling is kept and tiles
-///    owner-compute into private halo buffers (tile expanded by Hs/Ht),
-///    folded back into the grid via accumulate_buffer — the PD-REP path.
-///    Scatter and fold-back are pipelined per strided wave (stride sized so
-///    same-wave halo footprints are disjoint), bounding peak halo memory to
-///    one wave's buffers.
-/// Both schedules are bitwise deterministic with the exact (quant == 0)
-/// cache: wave order is fixed, within a wave writers touch disjoint voxels,
-/// and within a tile the Morton order fixes the accumulation order. (The
-/// quantized cache's first-arrival representatives depend on the dynamic
-/// tile-to-worker assignment, so quantized parallel runs vary within the
-/// documented 1/Q error bound.)
+///    four (a%2, b%2) classes run as four synchronization-free waves (the
+///    PD rule, Algorithm 6). They run on the finest such tiling
+///    (Decomposition::clamped), whose many small tiles balance the waves.
+///    A pre-wave first splits hotspot tiles across replica tasks writing
+///    private halo buffers, folded back in the tile's parity slot (PD-REP).
+///  - halo buffers: when byte-budget tiles are narrower than 2Hs and the
+///    2Hs-safe tiling would leave too few tiles per wave to feed the
+///    workers, the byte-budget tiling is kept and tiles owner-compute into
+///    private halo buffers (tile expanded by Hs/Ht), folded back into the
+///    grid via accumulate_buffer. Scatter and fold-back are pipelined per
+///    strided wave (stride sized so same-wave halo footprints are
+///    disjoint), bounding peak halo memory to one wave's buffers.
+/// Spatial tables come from a caller-owned kernels::TableCachePool, so a
+/// long-lived caller (the streaming engine) keeps its caches warm across
+/// passes. Every schedule is bitwise deterministic with the exact
+/// (quant == 0) cache: wave order is fixed, within a wave writers touch
+/// disjoint voxels, and within a tile the Morton order fixes the
+/// accumulation order. (The quantized cache's first-arrival representatives
+/// depend on the dynamic tile-to-worker assignment, so quantized parallel
+/// runs vary within the documented 1/Q error bound.)
 
 #include <algorithm>
 #include <cstdint>
@@ -82,10 +87,9 @@ struct TileScatterStats {
   std::int64_t lookups = 0;      ///< table-cache lookups
   std::int64_t fills = 0;        ///< table-cache misses (tables computed)
   LaneStats lanes;               ///< accumulated on fills only
-  std::int64_t waves = 0;            ///< wave barriers executed (0 = serial)
+  std::int64_t waves = 0;            ///< parity/stride waves run (0 = serial)
+  std::int64_t replica_tasks = 0;    ///< hotspot replica tasks (pre-wave)
   std::uint64_t halo_bytes = 0;      ///< peak halo-buffer memory (kHaloBuffer)
-  TileSchedule schedule = TileSchedule::kSerial;
-  int threads = 1;
 
   [[nodiscard]] double hit_rate() const {
     return lookups > 0
@@ -120,45 +124,41 @@ inline TilePlan plan_tile_schedule(const GridDims& dims,
   Decomposition tiles =
       tile_decomposition(dims, cfg.tile_bytes, value_size, row_stride_elems);
   if (threads <= 1) return TilePlan{std::move(tiles), TileSchedule::kSerial, 1};
-  if (cfg.waves == TileWaveMode::kHalo)
-    return TilePlan{std::move(tiles), TileSchedule::kHaloBuffer, threads};
   // Parity waves are conflict-free iff same-parity tiles can never stamp the
   // same voxel: owner stamps reach Hs beyond the tile, so every spatial tile
-  // width must be >= 2Hs (the PD rule; the temporal axis is unsplit).
-  if (tiles.min_width_x() >= 2 * Hs && tiles.min_width_y() >= 2 * Hs)
-    return TilePlan{std::move(tiles), TileSchedule::kParityWave, threads};
-  Decomposition clamped = Decomposition::clamped(
-      dims, DecompRequest{tiles.a(), tiles.b(), 1}, Hs, Ht);
-  // Re-clamping trades tile-size locality for wave safety; accept it while
-  // each of the four waves still has a tile per worker — the smallest
-  // parity class holds floor(a/2) * floor(b/2) tiles — otherwise keep the
-  // narrow byte-budget tiles and pay for private halo buffers instead.
+  // width must be >= 2Hs (the PD rule; the temporal axis is unsplit). They
+  // run on the finest such tiling: owner stamps are unclipped, so a smaller
+  // tile costs no locality, and more tiles per wave balance the workers.
+  Decomposition safe = Decomposition::clamped(
+      dims, DecompRequest{dims.gx, dims.gy, 1}, Hs, Ht);
+  const bool budget_safe =
+      tiles.min_width_x() >= 2 * Hs && tiles.min_width_y() >= 2 * Hs;
+  // Byte-budget tiles narrower than 2Hs mean a bandwidth that is large for
+  // the grid. The safe tiling is still taken while each of the four waves
+  // has a tile per worker (the smallest parity class holds
+  // floor(a/2) * floor(b/2) tiles); otherwise the narrow byte-budget tiles
+  // are kept and pay for private halo buffers instead.
   const std::int64_t min_wave_tiles =
-      static_cast<std::int64_t>(clamped.a() / 2) * (clamped.b() / 2);
-  if (cfg.waves == TileWaveMode::kParity ||
-      min_wave_tiles >= static_cast<std::int64_t>(threads))
-    return TilePlan{std::move(clamped), TileSchedule::kParityWave, threads};
+      static_cast<std::int64_t>(safe.a() / 2) * (safe.b() / 2);
+  if (budget_safe || min_wave_tiles >= static_cast<std::int64_t>(threads))
+    return TilePlan{std::move(safe), TileSchedule::kParityWave, threads};
   return TilePlan{std::move(tiles), TileSchedule::kHaloBuffer, threads};
 }
 
-/// Scatter \p pts into \p grid tile-major over a prebuilt ordering.
-/// \p tiles must partition the grid and \p bins must be intersection-binned
-/// onto it (tile_major_bins with TileBinRule::kIntersection): each voxel of
-/// a cylinder belongs to exactly one tile, so the union of tile-clipped
-/// stamps equals the PB-SYM stamp. \p cfg is the caller's Params::tile;
-/// the engine reads the traversal/cache knobs (pad_rows concerns only the
-/// caller's grid allocation).
+namespace tile_walk {
+
+/// The serial walk: \p bins are intersection-binned onto \p tiles, so each
+/// voxel of a cylinder belongs to exactly one tile and the union of
+/// tile-clipped stamps equals the PB-SYM stamp.
 template <kernels::SeparableKernel K, typename T>
-TileScatterStats scatter_tile_major(DenseGrid3<T>& grid, const Extent3& clip,
-                                    const VoxelMapper& map, const K& k,
-                                    const PointSet& pts, double hs, double ht,
-                                    std::int32_t Hs, std::int32_t Ht,
-                                    double scale, const Decomposition& tiles,
-                                    const PointBins& bins,
-                                    const TileParams& cfg) {
+TileScatterStats serial(DenseGrid3<T>& grid, const Extent3& clip,
+                        const VoxelMapper& map, const K& k,
+                        const PointSet& pts, double hs, double ht,
+                        std::int32_t Hs, std::int32_t Ht, double scale,
+                        const Decomposition& tiles, const PointBins& bins,
+                        kernels::TableCachePool& caches) {
   TileScatterStats stats;
-  kernels::SpatialTableCache cache(
-      kernels::TableCacheConfig{cfg.table_quant, cfg.cache_bytes}, Hs);
+  auto cache = caches.acquire();
   kernels::TemporalInvariant kt;
   const std::int64_t nsub = tiles.count();
   for (std::int64_t v = 0; v < nsub; ++v) {
@@ -169,48 +169,91 @@ TileScatterStats scatter_tile_major(DenseGrid3<T>& grid, const Extent3& clip,
     // The temporal table is O(Ht) to fill — not worth caching.
     for (const std::uint32_t idx : bin)
       stats.lanes.count(scatter_cached(grid, tclip, map, k, pts[idx], hs, ht,
-                                       Hs, Ht, scale, cache, kt));
+                                       Hs, Ht, scale, *cache, kt));
   }
-  stats.lookups = cache.lookups();
-  stats.fills = cache.fills();
   return stats;
 }
 
-/// Parallel tile walk over a plan from plan_tile_schedule, on \p pool
-/// (plan.threads workers). \p bins must be owner-binned onto plan.tiles
-/// (tile_major_bins with plan.bin_rule()). Each wave is one
-/// ThreadPool::parallel_for, whose dynamic schedule gives the tile-to-
-/// worker assignment; each tile leases a table cache from a
-/// kernels::TableCachePool and a private temporal invariant.
+/// The parallel walk over owner bins: parity waves (with the hotspot
+/// pre-wave) or strided halo-buffer waves, each one
+/// ThreadPool::parallel_for whose dynamic schedule assigns tiles to workers.
 template <kernels::SeparableKernel K, typename T>
-TileScatterStats scatter_tile_major_parallel(
-    DenseGrid3<T>& grid, const Extent3& clip, const VoxelMapper& map,
-    const K& k, const PointSet& pts, double hs, double ht, std::int32_t Hs,
-    std::int32_t Ht, double scale, const TilePlan& plan, const PointBins& bins,
-    const TileParams& cfg, sched::ThreadPool& pool) {
+TileScatterStats parallel(DenseGrid3<T>& grid, const Extent3& clip,
+                          const VoxelMapper& map, const K& k,
+                          const PointSet& pts, double hs, double ht,
+                          std::int32_t Hs, std::int32_t Ht, double scale,
+                          const TilePlan& plan, const PointBins& bins,
+                          kernels::TableCachePool& caches,
+                          sched::ThreadPool& pool) {
   TileScatterStats stats;
-  stats.schedule = plan.schedule;
-  stats.threads = plan.threads;
   const Decomposition& tiles = plan.tiles;
-  const std::int64_t nsub = tiles.count();
-  kernels::TableCachePool cache_pool(
-      kernels::TableCacheConfig{cfg.table_quant, cfg.cache_bytes}, Hs);
-  std::vector<LaneStats> lanes(static_cast<std::size_t>(nsub));
+  const auto nsub = static_cast<std::size_t>(tiles.count());
+  // One slot per task that may run concurrently: tile v's own stamp, or
+  // one of its replicas (appended below).
+  std::vector<LaneStats> lanes(nsub);
 
-  // Tile v's owner-computed stamp into `target`, clipped to `tclip` (the
-  // full clip for parity waves, the halo extent for buffers).
-  auto scatter_tile = [&](DenseGrid3<T>& target, const Extent3& tclip,
-                          std::size_t v) {
-    auto cache = cache_pool.acquire();
+  // Points [lo, hi) of tile v's bin, owner-computed into `target` and
+  // clipped to `tclip` (the full clip in place, the halo extent for
+  // buffers); `slot` receives the task's lane stats.
+  auto scatter_bin = [&](DenseGrid3<T>& target, const Extent3& tclip,
+                         std::size_t v, std::size_t lo, std::size_t hi,
+                         std::size_t slot) {
+    auto cache = caches.acquire();
     kernels::TemporalInvariant kt;
     LaneStats ls;
-    for (const std::uint32_t idx : bins.bins[v])
-      ls.count(scatter_cached(target, tclip, map, k, pts[idx], hs, ht, Hs, Ht,
-                              scale, *cache, kt));
-    lanes[v] = ls;
+    const auto& bin = bins.bins[v];
+    for (std::size_t i = lo; i < hi; ++i)
+      ls.count(scatter_cached(target, tclip, map, k, pts[bin[i]], hs, ht, Hs,
+                              Ht, scale, *cache, kt));
+    lanes[slot] = ls;
+  };
+  std::vector<Extent3> halos(nsub);
+  auto halo_of = [&](std::size_t v) {
+    return tiles.subdomain(static_cast<std::int64_t>(v))
+        .expanded(Hs, Ht)
+        .intersect(clip);
   };
 
   if (plan.schedule == TileSchedule::kParityWave) {
+    // PD-REP pre-wave: a tile holding more than max(32, n/(2P)) points (a
+    // hotspot of a clustered feed, which would serialize its wave) is split
+    // across up to P replica tasks writing private halo buffers. Replicas
+    // are dependency-free, so they all run before the parity waves; the
+    // tile's parity slot folds its buffers back. The halo init and fold
+    // cost a few point-equivalents, so splitting is cheap relative to the
+    // imbalance it removes; the floor keeps near-empty tiles whole.
+    const auto P = static_cast<std::size_t>(plan.threads);
+    const std::size_t threshold =
+        std::max<std::size_t>(32, pts.size() / (2 * P));
+    struct Replica {
+      std::size_t tile, rep, lo, hi;
+    };
+    std::vector<Replica> replicas;
+    std::vector<std::vector<DenseGrid3<T>>> buffers(nsub);
+    for (std::size_t v = 0; v < nsub; ++v) {
+      const std::size_t n = bins.bins[v].size();
+      const std::size_t r = std::min(P, (n + threshold - 1) / threshold);
+      if (r < 2) continue;
+      halos[v] = halo_of(v);
+      buffers[v].resize(r);
+      const std::size_t chunk = (n + r - 1) / r;
+      for (std::size_t rep = 0; rep < r; ++rep) {
+        const std::size_t lo = std::min(n, rep * chunk);
+        replicas.push_back(Replica{v, rep, lo, std::min(n, lo + chunk)});
+      }
+    }
+    stats.replica_tasks = static_cast<std::int64_t>(replicas.size());
+    lanes.resize(nsub + replicas.size());
+    pool.parallel_for(
+        static_cast<std::int64_t>(replicas.size()), [&](std::int64_t i) {
+          const Replica& rp = replicas[static_cast<std::size_t>(i)];
+          DenseGrid3<T>& buf = buffers[rp.tile][rp.rep];
+          buf.allocate(halos[rp.tile]);
+          buf.fill(static_cast<T>(0));
+          scatter_bin(buf, halos[rp.tile], rp.tile, rp.lo, rp.hi,
+                      nsub + static_cast<std::size_t>(i));
+        });
+
     // Four (a, b)-parity waves over the subdomain conflict graph; c is
     // always 1, so parity_coloring only ever emits the even colors.
     const sched::Coloring col =
@@ -225,7 +268,13 @@ TileScatterStats scatter_tile_major_parallel(
       ++stats.waves;
       pool.parallel_for(
           static_cast<std::int64_t>(wave.size()), [&](std::int64_t i) {
-            scatter_tile(grid, clip, wave[static_cast<std::size_t>(i)]);
+            const std::size_t v = wave[static_cast<std::size_t>(i)];
+            if (buffers[v].empty()) {
+              scatter_bin(grid, clip, v, 0, bins.bins[v].size(), v);
+              return;
+            }
+            for (const auto& buf : buffers[v]) accumulate_buffer(grid, buf);
+            buffers[v].clear();  // free the halo memory promptly
           });
     }
   } else {
@@ -237,8 +286,7 @@ TileScatterStats scatter_tile_major_parallel(
     // their halo boxes (tile ± Hs) are disjoint when
     // (s - 1) * min_tile_width >= 2Hs.
     std::vector<std::size_t> work;
-    std::vector<Extent3> halos(static_cast<std::size_t>(nsub));
-    std::vector<DenseGrid3<T>> buffers(static_cast<std::size_t>(nsub));
+    std::vector<DenseGrid3<T>> buffers(nsub);
     const std::int32_t sx =
         2 + (2 * Hs - 1) / std::max(1, tiles.min_width_x());
     const std::int32_t sy =
@@ -247,56 +295,69 @@ TileScatterStats scatter_tile_major_parallel(
       for (std::int32_t wy = 0; wy < sy; ++wy) {
         work.clear();
         std::uint64_t wave_bytes = 0;
-        for (std::int64_t v = 0; v < nsub; ++v) {
-          const auto sv = static_cast<std::size_t>(v);
-          if (bins.bins[sv].empty()) continue;
+        for (std::size_t v = 0; v < nsub; ++v) {
+          if (bins.bins[v].empty()) continue;
           std::int32_t a = 0, b = 0, c = 0;
-          tiles.coords(v, a, b, c);
+          tiles.coords(static_cast<std::int64_t>(v), a, b, c);
           if (a % sx != wx || b % sy != wy) continue;
-          halos[sv] = tiles.subdomain(v).expanded(Hs, Ht).intersect(clip);
-          if (halos[sv].empty()) continue;
-          wave_bytes += static_cast<std::uint64_t>(halos[sv].volume()) *
+          halos[v] = halo_of(v);
+          if (halos[v].empty()) continue;
+          wave_bytes += static_cast<std::uint64_t>(halos[v].volume()) *
                         sizeof(T);
-          work.push_back(sv);
+          work.push_back(v);
         }
         if (work.empty()) continue;
         ++stats.waves;
         stats.halo_bytes = std::max(stats.halo_bytes, wave_bytes);
         const auto n = static_cast<std::int64_t>(work.size());
         pool.parallel_for(n, [&](std::int64_t i) {
-          const std::size_t sv = work[static_cast<std::size_t>(i)];
-          buffers[sv].allocate(halos[sv]);
-          buffers[sv].fill(static_cast<T>(0));
-          scatter_tile(buffers[sv], halos[sv], sv);
+          const std::size_t v = work[static_cast<std::size_t>(i)];
+          buffers[v].allocate(halos[v]);
+          buffers[v].fill(static_cast<T>(0));
+          scatter_bin(buffers[v], halos[v], v, 0, bins.bins[v].size(), v);
         });
         pool.parallel_for(n, [&](std::int64_t i) {
-          const std::size_t sv = work[static_cast<std::size_t>(i)];
-          accumulate_buffer(grid, buffers[sv]);
-          buffers[sv] = DenseGrid3<T>{};  // free the halo memory promptly
+          const std::size_t v = work[static_cast<std::size_t>(i)];
+          accumulate_buffer(grid, buffers[v]);
+          buffers[v] = DenseGrid3<T>{};  // free the halo memory promptly
         });
       }
   }
-
   stats.lanes = LaneStats::sum(lanes);
-  stats.lookups = cache_pool.lookups();
-  stats.fills = cache_pool.fills();
   return stats;
 }
 
-/// Convenience pass: build the tiling and the Morton-sorted intersection
-/// bins, then scatter. The streaming engine's batch ingest uses this form.
+}  // namespace tile_walk
+
+/// The tile engine's one entry point (PB-TILE and every streaming ingest
+/// batch): scatter \p pts into \p grid under \p plan from
+/// plan_tile_schedule. \p bins must be binned onto plan.tiles by
+/// tile_major_bins with plan.bin_rule(). Spatial tables come from
+/// \p caches, which the caller owns: a caller that keeps it across passes
+/// keeps its tables warm. \p pool runs the parallel schedules and may be
+/// null for TileSchedule::kSerial.
 template <kernels::SeparableKernel K, typename T>
 TileScatterStats scatter_tile_major(DenseGrid3<T>& grid, const Extent3& clip,
                                     const VoxelMapper& map, const K& k,
                                     const PointSet& pts, double hs, double ht,
                                     std::int32_t Hs, std::int32_t Ht,
-                                    double scale, const TileParams& cfg) {
-  const Decomposition tiles = tile_decomposition(
-      map.dims(), cfg.tile_bytes, sizeof(T), grid.row_stride());
-  const PointBins bins =
-      tile_major_bins(pts, map, tiles, Hs, Ht, TileBinRule::kIntersection);
-  return scatter_tile_major(grid, clip, map, k, pts, hs, ht, Hs, Ht, scale,
-                            tiles, bins, cfg);
+                                    double scale, const TilePlan& plan,
+                                    const PointBins& bins,
+                                    kernels::TableCachePool& caches,
+                                    sched::ThreadPool* pool) {
+  // Pool totals are read while no lease is live: before the walk and after
+  // its last task returned.
+  const std::int64_t lookups_before = caches.lookups();
+  const std::int64_t fills_before = caches.fills();
+  TileScatterStats stats =
+      plan.schedule == TileSchedule::kSerial
+          ? tile_walk::serial(grid, clip, map, k, pts, hs, ht, Hs, Ht, scale,
+                              plan.tiles, bins, caches)
+          : tile_walk::parallel(grid, clip, map, k, pts, hs, ht, Hs, Ht,
+                                scale, plan, bins, caches, *pool);
+  stats.lookups = caches.lookups() - lookups_before;
+  stats.fills = caches.fills() - fills_before;
+  return stats;
 }
 
 }  // namespace stkde::core::detail

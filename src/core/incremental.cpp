@@ -8,9 +8,7 @@
 #include "core/detail/common.hpp"
 #include "core/detail/scatter.hpp"
 #include "core/detail/tile_scatter.hpp"
-#include "grid/reduction.hpp"
 #include "kernels/table_cache.hpp"
-#include "partition/binning.hpp"
 #include "partition/tile_order.hpp"
 #include "sched/thread_pool.hpp"
 #include "util/failpoint.hpp"
@@ -18,13 +16,6 @@
 namespace stkde::core {
 
 namespace {
-
-DecompRequest spatial_tiles(DecompRequest req) {
-  // The window slides over time; splitting the temporal axis would only put
-  // tile boundaries inside every event's temporal support.
-  req.c = 1;
-  return req;
-}
 
 double resolve_bucket_width(const StreamConfig& cfg, const Params& p) {
   return cfg.bucket_width > 0.0 ? cfg.bucket_width : p.ht;
@@ -46,8 +37,10 @@ IncrementalEstimator::IncrementalEstimator(const DomainSpec& dom,
       Hs_(dom.spatial_bandwidth_voxels(params.hs)),
       Ht_(dom.temporal_bandwidth_voxels(params.ht)),
       bucket_w_(resolve_bucket_width(cfg, params)),
-      dec_(Decomposition::clamped(map_.dims(), spatial_tiles(cfg.tiles), Hs_,
-                                  Ht_)),
+      caches_(std::make_unique<kernels::TableCachePool>(
+          kernels::TableCacheConfig{params.tile.table_quant,
+                                    params.tile.cache_bytes},
+          Hs_)),
       last_cutoff_(-std::numeric_limits<double>::infinity()) {
   params_.validate();
   if (!(bucket_w_ > 0.0))
@@ -60,13 +53,8 @@ IncrementalEstimator::IncrementalEstimator(const DomainSpec& dom,
   if (!cfg_.durability.dir.empty())
     dur_ = std::make_unique<DurableLog>(cfg_.durability.dir,
                                         cfg_.durability.sync);
-  if (cfg_.threads > 1) {
+  if (cfg_.threads > 1)
     pool_ = std::make_unique<sched::ThreadPool>(cfg_.threads);
-    cache_pool_ = std::make_unique<kernels::TableCachePool>(
-        kernels::TableCacheConfig{params_.tile.table_quant,
-                                  params_.tile.cache_bytes},
-        Hs_);
-  }
 }
 
 IncrementalEstimator::~IncrementalEstimator() = default;
@@ -76,13 +64,28 @@ IncrementalEstimator::~IncrementalEstimator() = default;
 
 void IncrementalEstimator::apply(const PointSet& batch, double sign) {
   if (batch.empty()) return;
+  STKDE_FAILPOINT("stream.ingest");
   mark_dirty(batch);
+  // Every batch at every thread count is one pass of the PB-TILE engine,
+  // planned on this grid: the serial tile walk at one thread, parity waves
+  // (with the hotspot pre-wave) or halo buffers beyond. The cache keys on
+  // exact offsets by default (params_.tile), so the density is a pure
+  // reordering of the per-point scatter.
+  const detail::TilePlan plan = detail::plan_tile_schedule(
+      map_.dims(), raw_.row_stride(), sizeof(float), params_.tile,
+      cfg_.threads, Hs_, Ht_);
+  const PointBins bins =
+      tile_major_bins(batch, map_, plan.tiles, Hs_, Ht_, plan.bin_rule());
   // Raw scale: 1/(hs^2 ht); the 1/n factor is applied on read.
   const double scale = sign * base_scale();
-  if (pool_)
-    apply_sharded(batch, scale);
-  else
-    apply_serial(batch, scale);
+  detail::with_kernel(params_.kernel, [&](const auto& k) {
+    const detail::TileScatterStats st = detail::scatter_tile_major(
+        raw_, Extent3::whole(map_.dims()), map_, k, batch, params_.hs,
+        params_.ht, Hs_, Ht_, scale, plan, bins, *caches_, pool_.get());
+    stats_.table_lookups += static_cast<std::uint64_t>(st.lookups);
+    stats_.table_fills += static_cast<std::uint64_t>(st.fills);
+    stats_.replica_tasks += static_cast<std::uint64_t>(st.replica_tasks);
+  });
 }
 
 void IncrementalEstimator::mark_dirty(const PointSet& batch) {
@@ -90,141 +93,6 @@ void IncrementalEstimator::mark_dirty(const PointSet& batch) {
   for (const Point& p : batch)
     box = box.hull(Extent3::cylinder(map_.voxel_of(p), Hs_, Ht_));
   dirty_cur_ = dirty_cur_.hull(box.intersect(Extent3::whole(map_.dims())));
-}
-
-void IncrementalEstimator::apply_serial(const PointSet& batch, double scale,
-                                        bool allow_tile) {
-  STKDE_FAILPOINT("stream.ingest.serial");
-  const Extent3 whole = Extent3::whole(map_.dims());
-  // Batches big enough to amortize the binning/sorting pass go through the
-  // PB-TILE engine; the cache keys on exact offsets by default
-  // (params_.tile), so the density is a pure reordering of the per-point
-  // scatter. Tiny deltas (single events, small removals) stay on the plain
-  // loop.
-  constexpr std::size_t kTileIngestThreshold = 64;
-  detail::with_kernel(params_.kernel, [&](const auto& k) {
-    if (allow_tile && batch.size() >= kTileIngestThreshold) {
-      const detail::TileScatterStats st = detail::scatter_tile_major(
-          raw_, whole, map_, k, batch, params_.hs, params_.ht, Hs_, Ht_, scale,
-          params_.tile);
-      stats_.table_lookups += static_cast<std::uint64_t>(st.lookups);
-      stats_.table_fills += static_cast<std::uint64_t>(st.fills);
-      return;
-    }
-    kernels::SpatialInvariant ks;
-    kernels::TemporalInvariant kt;
-    for (const Point& p : batch)
-      detail::scatter_sym(raw_, whole, map_, k, p, params_.hs, params_.ht, Hs_,
-                          Ht_, scale, ks, kt);
-  });
-}
-
-void IncrementalEstimator::apply_sharded(const PointSet& batch, double scale) {
-  STKDE_FAILPOINT("stream.ingest.sharded");
-  // Owner bins, Morton-sorted per tile: each worker walks its tile in
-  // scatter order, the same locality the PB-TILE engine gives the serial
-  // path (reusing the partition/tile_order facility).
-  PointBins bins = bin_by_owner(batch, map_, dec_);
-  sort_bins_by_scatter_key(bins, batch, map_);
-  const Extent3 whole = Extent3::whole(map_.dims());
-  const auto P = static_cast<std::size_t>(cfg_.threads);
-  // Auto threshold: split any tile holding more than half a worker's fair
-  // share. The halo init+fold-back overhead is a few point-equivalents, so
-  // splitting is cheap relative to the imbalance it removes; the floor
-  // keeps near-empty tiles whole.
-  const std::size_t rep_threshold =
-      cfg_.replicate_threshold != 0
-          ? cfg_.replicate_threshold
-          : std::max<std::size_t>(32, batch.size() / (2 * P));
-  const std::int64_t nsub = dec_.count();
-
-  // Table-cache probes attributable to this apply (reads are safe here:
-  // no ingest task runs before the first parallel_for or after the last).
-  const std::int64_t lookups_before = cache_pool_->lookups();
-  const std::int64_t fills_before = cache_pool_->fills();
-  detail::with_kernel(params_.kernel, [&](const auto& k) {
-    auto scatter_range = [&](DensityGrid& target, const Extent3& clip,
-                             const std::vector<std::uint32_t>& idxs,
-                             std::size_t lo, std::size_t hi) {
-      // Tile treatment: each task leases a warm per-worker spatial-table
-      // cache (the bins are Morton-sorted, so consecutive points share
-      // offsets and neighbourhoods).
-      auto cache = cache_pool_->acquire();
-      kernels::TemporalInvariant kt;
-      for (std::size_t i = lo; i < hi; ++i)
-        detail::scatter_cached(target, clip, map_, k, batch[idxs[i]],
-                               params_.hs, params_.ht, Hs_, Ht_, scale,
-                               *cache, kt);
-    };
-
-    // PD-REP pre-wave: hotspot tiles (clustered feeds concentrate a batch
-    // in few tiles) are split across replica tasks writing private halo
-    // buffers. Replica tasks are dependency-free, so all parities run at
-    // once; the fold-back inherits the tile's parity slot below.
-    std::vector<std::vector<DensityGrid>> buffers(
-        static_cast<std::size_t>(nsub));
-    std::vector<Extent3> halo(static_cast<std::size_t>(nsub));
-    struct Replica {
-      std::size_t tile, rep, lo, hi;
-    };
-    std::vector<Replica> replicas;
-    for (std::int64_t v = 0; v < nsub; ++v) {
-      const auto sv = static_cast<std::size_t>(v);
-      const auto& idxs = bins.bins[sv];
-      const std::size_t r = std::min<std::size_t>(
-          P, (idxs.size() + rep_threshold - 1) / rep_threshold);
-      if (r < 2) continue;
-      halo[sv] = dec_.subdomain(v).expanded(Hs_, Ht_).intersect(whole);
-      buffers[sv].resize(r);
-      const std::size_t chunk = (idxs.size() + r - 1) / r;
-      for (std::size_t rep = 0; rep < r; ++rep) {
-        const std::size_t lo = std::min(idxs.size(), rep * chunk);
-        replicas.push_back(
-            Replica{sv, rep, lo, std::min(idxs.size(), lo + chunk)});
-      }
-    }
-    stats_.replica_tasks += replicas.size();
-    pool_->parallel_for(
-        static_cast<std::int64_t>(replicas.size()), [&](std::int64_t i) {
-          const Replica& rp = replicas[static_cast<std::size_t>(i)];
-          DensityGrid& buf = buffers[rp.tile][rp.rep];
-          buf.allocate(halo[rp.tile]);
-          buf.fill(0.0f);
-          scatter_range(buf, halo[rp.tile], bins.bins[rp.tile], rp.lo, rp.hi);
-        });
-
-    // Four parity waves (PD rule): tiles are >= 2Hs wide, so same-parity
-    // tiles' cylinders — and the halo accumulations, whose footprint is the
-    // same tile +/- Hs — never overlap. The temporal axis has one part, so
-    // there is no temporal conflict to phase over.
-    std::vector<std::size_t> wave_tiles;
-    for (int wave = 0; wave < 4; ++wave) {
-      wave_tiles.clear();
-      for (std::int64_t v = 0; v < nsub; ++v) {
-        std::int32_t a = 0, b = 0, c = 0;
-        dec_.coords(v, a, b, c);
-        const auto sv = static_cast<std::size_t>(v);
-        if (((a & 1) * 2 + (b & 1)) == wave &&
-            (!buffers[sv].empty() || !bins.bins[sv].empty()))
-          wave_tiles.push_back(sv);
-      }
-      pool_->parallel_for(
-          static_cast<std::int64_t>(wave_tiles.size()), [&](std::int64_t i) {
-            const std::size_t sv = wave_tiles[static_cast<std::size_t>(i)];
-            if (!buffers[sv].empty()) {
-              for (const auto& buf : buffers[sv]) accumulate_buffer(raw_, buf);
-              buffers[sv].clear();  // free the halo memory promptly
-            } else {
-              scatter_range(raw_, whole, bins.bins[sv], 0,
-                            bins.bins[sv].size());
-            }
-          });
-    }
-  });
-  stats_.table_lookups +=
-      static_cast<std::uint64_t>(cache_pool_->lookups() - lookups_before);
-  stats_.table_fills +=
-      static_cast<std::uint64_t>(cache_pool_->fills() - fills_before);
 }
 
 // ---------------------------------------------------------------------------
@@ -686,19 +554,21 @@ void IncrementalEstimator::retire_scatter(const PointSet& gone) {
 
 void IncrementalEstimator::rebuild(bool serial_only) {
   raw_.fill(0.0f);
-  PointSet live;
-  live.reserve(live_);
-  for (const auto& [key, vec] : buckets_)
-    live.insert(live.end(), vec.begin(), vec.end());
-  // Dispatch directly (not via apply()): the whole grid is dirty after the
-  // fill, so apply()'s per-point mark_dirty hull would be discarded work.
-  if (!live.empty()) {
-    if (serial_only)
-      apply_serial(live, base_scale(), /*allow_tile=*/false);
-    else if (!pool_)
-      apply_serial(live, base_scale());
-    else
-      apply_sharded(live, base_scale());
+  const PointSet live = collect_live();
+  if (serial_only) {
+    // The exception-recovery path: a plain per-point loop that takes no
+    // bins, caches or pool tasks, so it cannot fail the way the batch it
+    // recovers from did.
+    const Extent3 whole = Extent3::whole(map_.dims());
+    detail::with_kernel(params_.kernel, [&](const auto& k) {
+      kernels::SpatialInvariant ks;
+      kernels::TemporalInvariant kt;
+      for (const Point& p : live)
+        detail::scatter_sym(raw_, whole, map_, k, p, params_.hs, params_.ht,
+                            Hs_, Ht_, base_scale(), ks, kt);
+    });
+  } else {
+    apply(live, +1.0);
   }
   dirty_cur_ = Extent3::whole(map_.dims());  // fill(0) touched everything
   retired_since_checkpoint_ = 0;

@@ -18,18 +18,17 @@
 ///    not when they happen to reach the front of an arrival queue — and
 ///    remove() locates an event by its time bucket instead of scanning the
 ///    whole window.
-///  - Single-threaded batches of meaningful size go through the PB-TILE
-///    scatter engine (core/detail/tile_scatter.hpp): Morton-sorted,
-///    tile-major, with the sub-voxel-offset table cache — surveillance
-///    feeds are recorded at fixed resolution, so repeated offsets make the
-///    cache hit (stats().table_lookups/table_fills track it).
-///  - With StreamConfig::threads > 1, batches are ingested on a persistent
-///    sched::ThreadPool: points are binned onto spatial tiles
-///    (partition/decomposition, clamped to the 2Hs PD rule), each tile's
-///    list Morton-sorted (partition/tile_order.hpp), and scattered in four
-///    parity waves (the PD strategy); overloaded hotspot tiles are split
-///    across replica tasks writing private halo buffers that a reduce task
-///    folds back (the PD-REP strategy applied to streaming).
+///  - Every batch, at every thread count, is one pass of the PB-TILE
+///    scatter engine (core/detail/tile_scatter.hpp), planned on this grid:
+///    points are binned onto spatial tiles and Morton-sorted per tile. One
+///    thread walks the tiles serially; StreamConfig::threads > 1 runs them
+///    on a persistent sched::ThreadPool in four parity waves over the
+///    finest 2Hs-wide tiling (the PD strategy), after a pre-wave that splits
+///    hotspot tiles across replica tasks writing private halo buffers (the
+///    PD-REP strategy applied to streaming). Spatial tables come from a
+///    sub-voxel-offset cache the engine keeps across batches: surveillance
+///    feeds are recorded at fixed resolution, so later batches hit the
+///    tables earlier ones filled (stats().table_lookups/table_fills).
 ///  - Readers (snapshot()/density_at()/live_count()) see *published*
 ///    double-buffered states: the writer mutates a private staging grid and
 ///    publishes an immutable copy after each batch, so a concurrent reader
@@ -43,12 +42,13 @@
 /// snapshot()/density_at()/live_count() concurrently with the writer.
 /// raw()/stats() are writer-side views and are not synchronized.
 ///
-/// Failure contract: if a sharded apply throws partway (e.g. a replica
+/// Failure contract: if a batch's scatter throws partway (e.g. a replica
 /// halo allocation exceeds the memory budget), the staging grid is rebuilt
-/// serially from the live index (counted in stats().recoveries) and the
-/// exception propagates. The engine stays consistent — grid, index, and
-/// stats() always agree: additions not yet recorded in the index are
-/// discarded; retirements/removals already recorded remain in effect.
+/// by a plain per-point loop from the live index (counted in
+/// stats().recoveries) and the exception propagates. The engine stays
+/// consistent — grid, index, and stats() always agree: additions not yet
+/// recorded in the index are discarded; retirements/removals already
+/// recorded remain in effect.
 /// Readers keep the last published snapshot until the next successful
 /// operation publishes again.
 ///
@@ -85,7 +85,6 @@
 #include "geom/point.hpp"
 #include "geom/voxel_mapper.hpp"
 #include "grid/dense_grid.hpp"
-#include "partition/decomposition.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -100,14 +99,12 @@ class TableCachePool;
 namespace stkde::core {
 
 /// Streaming-engine knobs. The defaults give the single-threaded engine
-/// with retirement bucketed at the temporal bandwidth.
+/// with retirement bucketed at the temporal bandwidth. The tiling and the
+/// hotspot split are not knobs: every batch is planned by the tile engine
+/// from Params::tile and threads.
 struct StreamConfig {
   /// Ingest worker threads; <= 1 runs scatter in the calling thread.
   int threads = 1;
-
-  /// Spatial sharding request (the temporal axis is never split — the
-  /// window slides over it). Clamped to the PD 2Hs rule at construction.
-  DecompRequest tiles{8, 8, 1};
 
   /// Retirement bucket width in time units; <= 0 uses the temporal
   /// bandwidth ht (events within one kernel support share a bucket).
@@ -116,10 +113,6 @@ struct StreamConfig {
   /// Rebuild the grid from the live set after this many retired/removed
   /// events (bounds +/- cancellation drift). 0 disables checkpoints.
   std::uint64_t checkpoint_retires = std::uint64_t{1} << 20;
-
-  /// Tile point count that triggers a PD-REP replica split; 0 picks
-  /// max(32, batch/(2*threads)) per batch.
-  std::size_t replicate_threshold = 0;
 
   /// Validate events at ingest and quarantine rejects (non-finite,
   /// out-of-domain beyond the margin, older than the window cutoff)
@@ -156,7 +149,7 @@ struct StreamStats {
   std::uint64_t remove_misses = 0;    ///< remove() requests never tracked
   std::uint64_t checkpoints = 0;      ///< drift-control full rebuilds
   std::uint64_t recoveries = 0;       ///< rollbacks after a failed apply
-  std::uint64_t replica_tasks = 0;    ///< PD-REP replica tasks spawned
+  std::uint64_t replica_tasks = 0;    ///< hotspot replica tasks spawned
   std::uint64_t publishes = 0;        ///< snapshot states published
   std::uint64_t table_lookups = 0;    ///< tile-engine table-cache probes
   std::uint64_t table_fills = 0;      ///< probes that computed a table
@@ -382,9 +375,6 @@ class IncrementalEstimator {
   [[nodiscard]] const StreamConfig& config() const { return cfg_; }
   [[nodiscard]] const StreamStats& stats() const { return stats_; }
 
-  /// The spatial tiling used by the sharded ingest path.
-  [[nodiscard]] const Decomposition& tiling() const { return dec_; }
-
  private:
   /// An immutable published state; readers hold it via shared_ptr.
   struct Published {
@@ -409,11 +399,9 @@ class IncrementalEstimator {
   [[nodiscard]] double base_scale() const {
     return 1.0 / (params_.hs * params_.hs * params_.ht);
   }
+  /// Scatter \p batch with sign \p sign through the tile engine and grow
+  /// the pending dirty box.
   void apply(const PointSet& batch, double sign);
-  /// \p allow_tile gates the PB-TILE path: the exception-recovery rebuild
-  /// scatters with the plain per-point loop (no fresh allocations).
-  void apply_serial(const PointSet& batch, double scale, bool allow_tile = true);
-  void apply_sharded(const PointSet& batch, double scale);
 
   /// Grow the pending dirty box by the batch's scatter footprint.
   void mark_dirty(const PointSet& batch);
@@ -453,8 +441,9 @@ class IncrementalEstimator {
   void replay_record(const io::WalRecord& rec);
   [[nodiscard]] PointSet collect_live() const;
   void refresh_wal_health();
-  /// Zero the staging grid and rescatter the live index (serial_only:
-  /// no pool, no allocations — the exception-recovery path).
+  /// Zero the staging grid and rescatter the live index (serial_only: a
+  /// plain per-point loop with no bins, caches or pool — the
+  /// exception-recovery path).
   void rebuild(bool serial_only);
   void rebuild_from_index();
   void recover_staging();
@@ -470,12 +459,11 @@ class IncrementalEstimator {
   std::int32_t Hs_;
   std::int32_t Ht_;
   double bucket_w_;
-  Decomposition dec_;
+  /// The tile engine's spatial-table caches. They persist across batches,
+  /// so recorded-resolution feeds stay warm (a fresh pool per batch would
+  /// refill, and reallocate, every table).
+  std::unique_ptr<kernels::TableCachePool> caches_;
   std::unique_ptr<sched::ThreadPool> pool_;  ///< null when threads <= 1
-  /// Per-worker spatial-table caches for the sharded scatter tasks (the
-  /// tile treatment applied to streaming ingest); null when threads <= 1.
-  /// Caches persist across batches, so recorded-resolution feeds stay warm.
-  std::unique_ptr<kernels::TableCachePool> cache_pool_;
 
   DensityGrid raw_;  ///< writer-private staging grid
   // Publish refreshes only what changed: a reused buffer tagged seq s needs

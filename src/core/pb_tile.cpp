@@ -17,9 +17,10 @@ namespace stkde::core {
 // quantized mode's error bound.
 //
 // With tile.threads != 1 the tile walk runs in parallel under one of two
-// conflict-free schedules picked by plan_tile_schedule (parity waves over a
-// PD-safe tiling, or owner-computes halo buffers for narrow tilings); the
-// choice is recorded in Result::diag.tile_schedule.
+// conflict-free schedules picked by plan_tile_schedule (parity waves over
+// the finest PD-safe tiling, or owner-computes halo buffers for narrow
+// tilings); the choice is recorded in Result::diag.tile_schedule. The
+// streaming engine ingests every batch through the same entry point.
 Result run_pb_tile(const PointSet& pts, const DomainSpec& dom,
                    const Params& p) {
   p.validate();
@@ -55,16 +56,12 @@ Result run_pb_tile(const PointSet& pts, const DomainSpec& dom,
   res.diag.tile_threads = plan.threads;
 
   util::ScopedPhase compute(res.phases, phase::kCompute);
-  const Extent3 whole = Extent3::whole(s.map.dims());
+  kernels::TableCachePool caches(
+      kernels::TableCacheConfig{p.tile.table_quant, p.tile.cache_bytes}, s.Hs);
   detail::with_kernel(p.kernel, [&](const auto& k) {
-    const detail::TileScatterStats st =
-        plan.schedule == detail::TileSchedule::kSerial
-            ? detail::scatter_tile_major(res.grid, whole, s.map, k, pts, p.hs,
-                                         p.ht, s.Hs, s.Ht, s.scale, plan.tiles,
-                                         bins, p.tile)
-            : detail::scatter_tile_major_parallel(
-                  res.grid, whole, s.map, k, pts, p.hs, p.ht, s.Hs, s.Ht,
-                  s.scale, plan, bins, p.tile, pool);
+    const detail::TileScatterStats st = detail::scatter_tile_major(
+        res.grid, Extent3::whole(s.map.dims()), s.map, k, pts, p.hs, p.ht,
+        s.Hs, s.Ht, s.scale, plan, bins, caches, &pool);
     st.lanes.store(res.diag);
     res.diag.table_lookups = st.lookups;
     res.diag.table_fills = st.fills;

@@ -4,8 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "core/detail/tile_scatter.hpp"
 #include "core/estimator.hpp"
+#include "data/generator.hpp"
 #include "helpers.hpp"
 
 namespace stkde::core {
@@ -171,25 +176,48 @@ TEST(Incremental, RemoveOfUntrackedEventIsANoOp) {
   EXPECT_DOUBLE_EQ(inc.snapshot().max_abs_diff(before), 0.0);
 }
 
-// Sharded concurrent ingest must be numerically equivalent to the serial
-// engine: same feed, P in {1, 4}, snapshots within 1e-5 relative.
+// Every thread count and schedule of the shared tile engine must be
+// numerically equivalent to the serial walk: same feed, snapshots within
+// 1e-5 relative, for P in {1, 2, 4} over the three schedules.
 TEST(Incremental, ShardedIngestMatchesSerial) {
   const auto t = make_tiny(400, 3, 2);
   PointSet stream = t.points;
   std::sort(stream.begin(), stream.end(),
             [](const Point& a, const Point& b) { return a.t < b.t; });
 
-  IncrementalEstimator serial(t.domain, t.params);
-  StreamConfig sharded_cfg;
-  sharded_cfg.threads = 4;
-  sharded_cfg.tiles = DecompRequest{4, 4, 1};
-  IncrementalEstimator sharded(t.domain, t.params, sharded_cfg);
-  // A third engine with a tiny replica threshold forces the PD-REP
-  // hotspot-split path on every batch.
-  StreamConfig rep_cfg = sharded_cfg;
-  rep_cfg.threads = 2;
-  rep_cfg.replicate_threshold = 4;
-  IncrementalEstimator replicated(t.domain, t.params, rep_cfg);
+  struct Engine {
+    int threads;
+    std::int64_t tile_bytes;
+    detail::TileSchedule schedule;
+  };
+  // The default 1 MiB budget makes the whole tiny grid one 2Hs-safe tile,
+  // so P > 1 runs parity waves on the finest safe tiling (4x3); one-column
+  // budget tiles are narrower than 2Hs, and at P = 4 that 4x3 tiling cannot
+  // give each wave a tile per worker, so the plan keeps them and runs halo
+  // buffers.
+  const std::vector<Engine> engines = {
+      {1, TileParams{}.tile_bytes, detail::TileSchedule::kSerial},
+      {2, TileParams{}.tile_bytes, detail::TileSchedule::kParityWave},
+      {4, TileParams{}.tile_bytes, detail::TileSchedule::kParityWave},
+      {4, 1, detail::TileSchedule::kHaloBuffer},
+  };
+  std::vector<std::unique_ptr<IncrementalEstimator>> incs;
+  for (const Engine& e : engines) {
+    Params params = t.params;
+    params.tile.tile_bytes = e.tile_bytes;
+    StreamConfig cfg;
+    cfg.threads = e.threads;
+    incs.push_back(
+        std::make_unique<IncrementalEstimator>(t.domain, params, cfg));
+    EXPECT_EQ(detail::plan_tile_schedule(
+                  t.domain.dims(), incs.back()->raw().row_stride(),
+                  sizeof(float), params.tile, e.threads,
+                  t.domain.spatial_bandwidth_voxels(params.hs),
+                  t.domain.temporal_bandwidth_voxels(params.ht))
+                  .schedule,
+              e.schedule)
+        << "P=" << e.threads << " tile_bytes=" << e.tile_bytes;
+  }
 
   const double window = 6.0;
   const std::size_t chunk = 80;
@@ -197,25 +225,60 @@ TEST(Incremental, ShardedIngestMatchesSerial) {
     const std::size_t hi = std::min(stream.size(), lo + chunk);
     const PointSet batch(stream.begin() + lo, stream.begin() + hi);
     const double cutoff = batch.back().t - window;
-    serial.advance_window(batch, cutoff);
-    sharded.advance_window(batch, cutoff);
-    replicated.advance_window(batch, cutoff);
+    for (auto& inc : incs) inc->advance_window(batch, cutoff);
   }
-  ASSERT_EQ(sharded.live_count(), serial.live_count());
-  ASSERT_EQ(replicated.live_count(), serial.live_count());
-  EXPECT_GT(replicated.stats().replica_tasks, 0u);
-  const DensityGrid ref = serial.snapshot();
+  const DensityGrid ref = incs.front()->snapshot();
   const double peak = static_cast<double>(ref.max_value());
   ASSERT_GT(peak, 0.0);
-  EXPECT_LE(sharded.snapshot().max_abs_diff(ref), 1e-5 * peak);
-  EXPECT_LE(replicated.snapshot().max_abs_diff(ref), 1e-5 * peak);
+  for (std::size_t i = 0; i < engines.size(); ++i) {
+    SCOPED_TRACE(detail::to_string(engines[i].schedule) + std::string(" P=") +
+                 std::to_string(engines[i].threads));
+    ASSERT_EQ(incs[i]->live_count(), incs.front()->live_count());
+    EXPECT_LE(incs[i]->snapshot().max_abs_diff(ref), 1e-5 * peak);
+    // The 80-point batches are clustered enough that some tile exceeds the
+    // max(32, n/(2P)) threshold: the parity schedule's hotspot pre-wave
+    // runs from the input alone. Only parity waves split hotspots.
+    if (engines[i].schedule == detail::TileSchedule::kParityWave)
+      EXPECT_GT(incs[i]->stats().replica_tasks, 0u);
+    else
+      EXPECT_EQ(incs[i]->stats().replica_tasks, 0u);
+  }
+}
+
+// The tile engine's table caches belong to the streaming engine, so they
+// stay warm across batches: a re-added lattice-snapped batch computes no
+// table the caches already hold. On the voxel-center lattice every event
+// has the same sub-voxel offset, so each cache fills exactly one table in
+// its lifetime. Serially that makes the second add fill nothing. On the
+// pool, the dynamic schedule decides how many worker caches a pass leases
+// (a later pass may be the first to lease a second one), so the bound is
+// one fill per worker over any number of adds, where a fresh pool per
+// batch would fill at least once every add.
+TEST(Incremental, TableCachesPersistAcrossBatches) {
+  const auto t = make_tiny(2000, 3, 2);
+  const PointSet batch = data::snap_to_lattice(t.points, t.domain, 1);
+  for (const int P : {1, 2}) {
+    SCOPED_TRACE("P=" + std::to_string(P));
+    StreamConfig cfg;
+    cfg.threads = P;
+    IncrementalEstimator inc(t.domain, t.params, cfg);
+    inc.add(batch);
+    const std::uint64_t lookups = inc.stats().table_lookups;
+    ASSERT_GT(inc.stats().table_fills, 0u);
+    if (P == 1) {
+      EXPECT_EQ(inc.stats().table_fills, 1u);
+    }
+    constexpr std::uint64_t kAdds = 4;
+    for (std::uint64_t i = 1; i < kAdds; ++i) inc.add(batch);
+    EXPECT_EQ(inc.stats().table_lookups, kAdds * lookups);
+    EXPECT_LE(inc.stats().table_fills, static_cast<std::uint64_t>(P));
+  }
 }
 
 TEST(Incremental, ShardedSingleBatchMatchesBatchEstimate) {
   const auto t = make_tiny(150, 3, 2);
   StreamConfig cfg;
   cfg.threads = 4;
-  cfg.tiles = DecompRequest{4, 4, 1};
   IncrementalEstimator inc(t.domain, t.params, cfg);
   inc.add(t.points);
   const Result batch = estimate(t.points, t.domain, t.params, Algorithm::kPBSym);

@@ -763,7 +763,7 @@ TEST_F(Chaos, InjectedErrorRollsBackAndTheStreamContinues) {
   fp::Spec spec;
   spec.action = fp::Action::kError;
   spec.after_hits = 1;
-  fp::arm("stream.ingest.serial", spec);
+  fp::arm("stream.ingest", spec);
   EXPECT_THROW(est.add(second), util::InjectedFault);
   // Error-class faults follow the failure contract: rollback, not poison.
   EXPECT_FALSE(est.poisoned());
@@ -901,7 +901,7 @@ TEST_F(Chaos, CrashAtEverySiteRecoversSerial) {
       {
           "stream.add",
           "stream.advance",
-          "stream.ingest.serial",
+          "stream.ingest",
           "stream.publish",
           "stream.rebuild",
           "wal.append",
@@ -998,7 +998,7 @@ TEST_F(Chaos, CrashAtEverySiteRecoversSharded) {
       {
           "pool.submit",
           "cache.acquire",
-          "stream.ingest.sharded",
+          "stream.ingest",
           "stream.publish",
           "wal.append",
           "durable.checkpoint.commit",

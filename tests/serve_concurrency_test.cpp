@@ -131,11 +131,14 @@ TEST(ServeConcurrency, WaitForVersionObservesTheWriter) {
 
 TEST(ServeConcurrency, ReaderSessionsAgainstLiveShardedWriter) {
   const auto t = make_tiny(1, 3, 2);
+  // 4 KiB budget tiles are 2Hs-wide on the tiny grid, so the 3-thread plan
+  // runs parity waves over the finest safe tiling (4x3), several tiles a
+  // wave.
+  Params params = t.params;
+  params.tile.tile_bytes = 4096;
   StreamConfig cfg;
   cfg.threads = 3;
-  cfg.tiles = DecompRequest{4, 4, 1};
-  cfg.replicate_threshold = 16;
-  IncrementalEstimator inc(t.domain, t.params, cfg);
+  IncrementalEstimator inc(t.domain, params, cfg);
   SnapshotRegistry reg(inc);
 
   constexpr int kReaders = 4;
@@ -217,6 +220,10 @@ TEST(ServeConcurrency, ReaderSessionsAgainstLiveShardedWriter) {
     PointSet batch(stream.begin() + static_cast<std::ptrdiff_t>(i),
                    stream.begin() + static_cast<std::ptrdiff_t>(
                                         std::min(i + kBatch, stream.size())));
+    // Every fourth batch carries a 64-event burst at one position: a
+    // hotspot tile above the max(32, n/(2P)) threshold, so the replica
+    // pre-wave runs beside the readers.
+    if ((i / kBatch) % 4 == 0) batch.insert(batch.end(), 64, batch.back());
     inc.advance_window(batch, cutoff);
     cutoff += 0.2;
   }
@@ -233,6 +240,8 @@ TEST(ServeConcurrency, ReaderSessionsAgainstLiveShardedWriter) {
   EXPECT_EQ(reg.stats().published, inc.stats().publishes);
   EXPECT_EQ(reg.stats().rejected, 0u);
   EXPECT_GT(reg.stats().published, 0u);
+  // The replica path ran beside the readers (this test is its TSan cover).
+  EXPECT_GT(inc.stats().replica_tasks, 0u);
 }
 
 }  // namespace

@@ -74,9 +74,12 @@ void run_scenario(Scenario sc, const Extent3& probe_box) {
   std::sort(sc.stream.begin(), sc.stream.end(),
             [](const Point& a, const Point& b) { return a.t < b.t; });
 
+  // 256 KiB budget tiles are 2Hs-wide on both scenario grids (2x2 and 2x1
+  // tiles), so the P=2 plan runs parity waves over the finest safe tiling
+  // (3x3 and 10x6), several tiles a wave.
+  sc.params.tile.tile_bytes = std::int64_t{256} << 10;
   StreamConfig cfg;
   cfg.threads = 2;
-  cfg.tiles = DecompRequest{4, 4, 1};
   IncrementalEstimator inc(sc.domain, sc.params, cfg);
   SnapshotRegistry reg(inc);
 

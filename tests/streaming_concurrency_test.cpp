@@ -45,13 +45,15 @@ TEST(StreamingConcurrency, ReadersNeverObserveTornBatch) {
   }
   ASSERT_GT(c0, 0.0f);
 
-  // Sharded writer with a tiny replica threshold so the PD-REP split path
+  // Sharded writer on 2Hs-wide 4 KiB budget tiles: parity waves over the
+  // finest safe tiling (4x3). Every batch stacks 64 events in one tile,
+  // above the max(32, n/(2P)) hotspot threshold, so the replica pre-wave
   // runs concurrently with the readers.
+  Params params = t.params;
+  params.tile.tile_bytes = 4096;
   StreamConfig cfg;
   cfg.threads = 3;
-  cfg.tiles = DecompRequest{4, 4, 1};
-  cfg.replicate_threshold = 16;
-  IncrementalEstimator inc(t.domain, t.params, cfg);
+  IncrementalEstimator inc(t.domain, params, cfg);
 
   constexpr std::size_t kBatch = 64;
   constexpr int kBatches = 60;
@@ -93,6 +95,8 @@ TEST(StreamingConcurrency, ReadersNeverObserveTornBatch) {
   EXPECT_EQ(count_violations.load(), 0);
   EXPECT_EQ(density_violations.load(), 0);
   EXPECT_EQ(inc.live_count(), kBatch * (kBatches - kBatches / 4));
+  // The replica path ran beside the readers (this test is its TSan cover).
+  EXPECT_GT(inc.stats().replica_tasks, 0u);
 }
 
 // Static-analysis regression (docs/ANALYSIS.md): the publish buffer's

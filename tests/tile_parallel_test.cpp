@@ -45,41 +45,45 @@ TEST(TilePlan, PicksSerialParityAndHalo) {
   const GridDims dims{24, 20, 16};
   TileParams cfg;
   cfg.tile_bytes = 4096;
-  // threads <= 1 is always the serial engine.
+  // threads <= 1 is always the serial engine on the byte-budget tiling.
   const auto serial =
       core::detail::plan_tile_schedule(dims, 0, sizeof(float), cfg, 1, 3, 2);
   EXPECT_EQ(serial.schedule, core::detail::TileSchedule::kSerial);
   EXPECT_EQ(serial.bin_rule(), TileBinRule::kIntersection);
-  // Wide-enough tiles: parity waves on the byte-budget tiling itself.
+  EXPECT_EQ(serial.tiles.a(), 3);
+  EXPECT_EQ(serial.tiles.b(), 3);
+  // Wide-enough byte-budget tiles (3x3, min widths 8 and 6): parity waves
+  // on the finest 2Hs-safe tiling, 4x3, which is finer than the budget's.
   const auto parity =
       core::detail::plan_tile_schedule(dims, 0, sizeof(float), cfg, 4, 3, 2);
   EXPECT_EQ(parity.schedule, core::detail::TileSchedule::kParityWave);
   EXPECT_EQ(parity.bin_rule(), TileBinRule::kOwner);
+  EXPECT_EQ(parity.tiles.a(), 4);
+  EXPECT_EQ(parity.tiles.b(), 3);
   EXPECT_GE(parity.tiles.min_width_x(), 6);
   EXPECT_GE(parity.tiles.min_width_y(), 6);
-  // One-column tiles violate the 2Hs rule; kAuto re-clamps while the
-  // smallest parity wave still feeds every worker (P=2: clamped 4x3x1 has
-  // floor(4/2)*floor(3/2) = 2 tiles in its smallest wave)...
+  // A 2Hs-safe but coarse budget tiling (one tile for the whole grid) also
+  // runs parity waves on the finest safe tiling, not on its one tile.
+  cfg.tile_bytes = std::int64_t{1} << 20;
+  const auto coarse =
+      core::detail::plan_tile_schedule(dims, 0, sizeof(float), cfg, 2, 3, 2);
+  EXPECT_EQ(coarse.schedule, core::detail::TileSchedule::kParityWave);
+  EXPECT_EQ(coarse.tiles.a(), 4);
+  EXPECT_EQ(coarse.tiles.b(), 3);
+  // One-column tiles violate the 2Hs rule; the safe 4x3 tiling is taken
+  // while its smallest parity wave still feeds every worker (P=2:
+  // floor(4/2)*floor(3/2) = 2 tiles)...
   cfg.tile_bytes = 1;
   const auto reclamped =
       core::detail::plan_tile_schedule(dims, 0, sizeof(float), cfg, 2, 3, 2);
   EXPECT_EQ(reclamped.schedule, core::detail::TileSchedule::kParityWave);
-  EXPECT_GE(reclamped.tiles.min_width_x(), 6);
-  EXPECT_GE(reclamped.tiles.min_width_y(), 6);
+  EXPECT_EQ(reclamped.tiles.a(), 4);
+  EXPECT_EQ(reclamped.tiles.b(), 3);
   // ...and falls back to halo buffers when it would not (P=4: 2 < 4).
   const auto halo =
       core::detail::plan_tile_schedule(dims, 0, sizeof(float), cfg, 4, 3, 2);
   EXPECT_EQ(halo.schedule, core::detail::TileSchedule::kHaloBuffer);
   EXPECT_EQ(halo.tiles.a(), dims.gx);  // the byte-budget tiling is kept
-  // Forced modes override the heuristic.
-  cfg.waves = TileWaveMode::kParity;
-  EXPECT_EQ(core::detail::plan_tile_schedule(dims, 0, sizeof(float), cfg, 4, 3, 2)
-                .schedule,
-            core::detail::TileSchedule::kParityWave);
-  cfg.waves = TileWaveMode::kHalo;
-  EXPECT_EQ(core::detail::plan_tile_schedule(dims, 0, sizeof(float), cfg, 4, 3, 2)
-                .schedule,
-            core::detail::TileSchedule::kHaloBuffer);
 }
 
 // --- Parallel-vs-serial equivalence, all kernels ----------------------------
@@ -95,18 +99,16 @@ TEST_P(TileParallelKernelTest, ParallelMatchesSerialAcrossThreadCounts) {
   const double tol = rel_tolerance(serial.grid, 1e-5);
   for (const int P : {1, 2, 4}) {
     t.params.tile.threads = P;
-    t.params.tile.waves = TileWaveMode::kAuto;
     const Result r = estimate(t.points, t.domain, t.params, Algorithm::kPBTile);
     EXPECT_LE(r.grid.max_abs_diff(serial.grid), tol) << "P=" << P;
     EXPECT_EQ(r.diag.tile_schedule, P == 1 ? "serial" : "parity-wave");
     EXPECT_EQ(r.diag.tile_threads, P);
     EXPECT_GT(r.diag.table_lookups, 0);
   }
-  // Forced narrow tiles (one grid column each, far below 2Hs): the
+  // Narrow tiles (one grid column each, far below 2Hs) at P=4: the
   // owner-computes halo-buffer fallback, still at 1e-5.
   t.params.tile.threads = 4;
   t.params.tile.tile_bytes = 1;
-  t.params.tile.waves = TileWaveMode::kHalo;
   const Result halo = estimate(t.points, t.domain, t.params, Algorithm::kPBTile);
   EXPECT_EQ(halo.diag.tile_schedule, "halo-buffer");
   EXPECT_LE(halo.grid.max_abs_diff(serial.grid), tol);
@@ -138,7 +140,6 @@ TEST(TileParallel, WaveSchedulesAreBitwiseDeterministic) {
   EXPECT_EQ(a.grid.max_abs_diff(b.grid), 0.0);
 
   t.params.tile.tile_bytes = 1;
-  t.params.tile.waves = TileWaveMode::kHalo;
   const Result c = estimate(t.points, t.domain, t.params, Algorithm::kPBTile);
   const Result d = estimate(t.points, t.domain, t.params, Algorithm::kPBTile);
   ASSERT_EQ(c.diag.tile_schedule, "halo-buffer");
@@ -167,14 +168,14 @@ TEST(TileParallel, QuantizedCacheStaysWithinBoundInParallel) {
 // --- Streaming reuse --------------------------------------------------------
 
 TEST(TileParallel, ShardedStreamingIngestServesTablesFromTheCachePool) {
-  // The sharded streaming scatter now leases per-worker caches from the
-  // same pool facility; the stats must see the probes, and the P=4 stream
-  // must still match a serial one.
-  TinyInstance t = make_tiny(160, 3, 2);
+  // Streaming ingest runs the same tile engine and leases per-worker caches
+  // from the engine's pool; the stats must see the probes, and the P=4
+  // stream must still match a serial one. 4 KiB tiles are 2Hs-wide, so the
+  // P=4 plan runs parity waves with several tiles per wave.
+  TinyInstance t = parity_instance(160);
   core::StreamConfig serial_cfg;  // threads = 1
   core::StreamConfig sharded_cfg;
   sharded_cfg.threads = 4;
-  sharded_cfg.tiles = DecompRequest{4, 4, 1};
   core::IncrementalEstimator serial(t.domain, t.params, serial_cfg);
   core::IncrementalEstimator sharded(t.domain, t.params, sharded_cfg);
   serial.add(t.points);
