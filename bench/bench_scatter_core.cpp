@@ -125,21 +125,22 @@ int main(int argc, char** argv) {
                                   params.ht, s.Hs, s.Ht, s.scale, ks, kt);
     });
     // One PB-TILE pass as the strategy runs it: plan, bin and Morton-sort,
-    // then the tile engine on a cold cache pool. The timed rows pay for all
-    // of it every rep.
-    auto tile_pass = [&](int P, sched::ThreadPool* pool) {
+    // then the tile engine on cold per-worker scratch. The timed rows pay
+    // for all of it every rep; \p lanes, when given, receives its counts.
+    auto tile_pass = [&](int P, sched::ThreadPool* pool,
+                         core::detail::LaneStats* lanes = nullptr) {
       const core::detail::TilePlan plan = core::detail::plan_tile_schedule(
           s.map.dims(), grid.row_stride(), sizeof(float), tile_cfg, P, s.Hs,
           s.Ht);
       const PointBins bins = tile_major_bins(points, s.map, plan.tiles, s.Hs,
                                              s.Ht, plan.bin_rule());
-      kernels::TableCachePool caches(
-          kernels::TableCacheConfig{tile_cfg.table_quant,
-                                    tile_cfg.cache_bytes},
-          s.Hs);
-      return core::detail::scatter_tile_major(
-          grid, whole, s.map, k, points, params.hs, params.ht, s.Hs, s.Ht,
-          s.scale, plan, bins, caches, pool);
+      core::detail::StampScratches scratch(tile_cfg, params.hs, s.Hs, P);
+      const core::detail::TileScatterStats st =
+          core::detail::scatter_tile_major(grid, whole, s.map, k, points,
+                                           params.ht, s.Hs, s.Ht, s.scale,
+                                           plan, bins, scratch, pool);
+      if (lanes != nullptr) *lanes = scratch.lanes();
+      return st;
     };
     t_tile = time_variant(reps, grid, [&] { tile_pass(1, nullptr); });
     // The parallel schedules at P = 2, 4.
@@ -194,13 +195,17 @@ int main(int argc, char** argv) {
     max_rel_diff = peak > 0.0 ? grid.max_abs_diff(ref_grid) / peak : 0.0;
     // Untimed PB-TILE pass: cache diagnostics + its own equivalence bound.
     grid.fill(0.0f);
-    const core::detail::TileScatterStats st = tile_pass(1, nullptr);
-    cache_lookups = st.lookups;
-    cache_fills = st.fills;
-    cache_hit_rate = st.hit_rate();
+    core::detail::LaneStats lanes;
+    tile_pass(1, nullptr, &lanes);
+    cache_lookups = lanes.lookups;
+    cache_fills = lanes.fills;
+    cache_hit_rate = cache_lookups > 0
+                         ? 1.0 - static_cast<double>(cache_fills) /
+                                     static_cast<double>(cache_lookups)
+                         : 0.0;
     tile_replication =
         points.empty() ? 1.0
-                       : static_cast<double>(st.lookups) /
+                       : static_cast<double>(cache_lookups) /
                              static_cast<double>(points.size());
     max_rel_diff_tile = peak > 0.0 ? grid.max_abs_diff(ref_grid) / peak : 0.0;
     // Untimed parallel pass (P=4): equivalence bound for the wave schedule.

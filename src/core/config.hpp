@@ -46,12 +46,14 @@ enum class Algorithm {
 /// tile_bytes/pad_rows/threads govern Algorithm::kPBTile; the streaming
 /// engine plans every ingest batch from the same tile_bytes and cache knobs
 /// (its thread count is StreamConfig::threads). The cache knobs
-/// (table_quant, cache_bytes) additionally configure the per-worker table
-/// caches of the DR/DD/PD family — in particular, table_quant > 0 makes
-/// *all* of those strategies quantized-approximate (within the documented
-/// 1/Q offset bound), not just PB-TILE. The parallel schedule is not a
-/// knob: plan_tile_schedule picks parity waves on the finest 2Hs-safe
-/// tiling, or halo buffers when that tiling cannot feed every wave.
+/// (table_quant, cache_bytes) configure every cached stamp: each pool
+/// worker of a PB-TILE, DR, DD or PD-family run (and of a streaming
+/// engine) gets one table cache of cache_bytes, so the caches of one run
+/// take up to threads × cache_bytes. table_quant > 0 makes *all* of those
+/// strategies quantized-approximate (within the documented 1/Q offset
+/// bound), not just PB-TILE. The parallel schedule is not a knob:
+/// plan_tile_schedule picks parity waves on the finest 2Hs-safe tiling, or
+/// halo buffers when that tiling cannot feed every wave.
 struct TileParams {
   /// Grid bytes a tile may map onto — the working set that should stay
   /// L2-resident while its cylinders stamp.

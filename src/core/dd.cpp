@@ -1,7 +1,6 @@
 #include "core/algorithms.hpp"
 #include "core/detail/common.hpp"
 #include "core/detail/scatter.hpp"
-#include "kernels/table_cache.hpp"
 #include "partition/binning.hpp"
 #include "partition/load.hpp"
 #include "partition/tile_order.hpp"
@@ -17,9 +16,9 @@ namespace stkde::core {
 // tables per subdomain — the work overhead Fig. 9 measures. The tile
 // treatment removes most of it: bins are Morton-sorted
 // (sort_bins_by_scatter_key) so each worker walks its subdomain in scatter
-// order, and spatial tables are served from a leased offset-keyed cache
-// (Params::tile knobs) — a replicated point's table is filled once per
-// cache that sees its offset, not once per (point, subdomain) pair.
+// order, and spatial tables are served from the worker's offset-keyed
+// cache (Params::tile knobs) — a replicated point's table is filled once
+// per cache that sees its offset, not once per (point, subdomain) pair.
 Result run_pb_sym_dd(const PointSet& pts, const DomainSpec& dom,
                      const Params& p) {
   p.validate();
@@ -55,32 +54,21 @@ Result run_pb_sym_dd(const PointSet& pts, const DomainSpec& dom,
   util::ScopedPhase compute(res.phases, phase::kCompute);
   const std::int64_t nsub = dec.count();
   res.diag.task_seconds.assign(static_cast<std::size_t>(nsub), 0.0);
-  std::vector<detail::LaneStats> lanes(static_cast<std::size_t>(nsub));
-  kernels::TableCachePool cache_pool(
-      kernels::TableCacheConfig{p.tile.table_quant, p.tile.cache_bytes}, s.Hs);
+  detail::StampScratches scratch(p.tile, p.hs, s.Hs, P);
   detail::with_kernel(p.kernel, [&](const auto& k) {
     pool.parallel_for(nsub, [&](std::int64_t v) {
       util::Timer task_timer;
-      // Leases return to the pool warm: the next subdomain inherits a cache
-      // that already holds the offsets seen so far.
-      auto cache = cache_pool.acquire();
-      kernels::TemporalInvariant kt;
-      detail::LaneStats ls;
-      const Extent3 sub = dec.subdomain(v);
-      // Only the accumulation is clipped to the subdomain; the cache serves
-      // the full table and rebases it onto this cylinder.
-      for (const std::uint32_t idx : bins.bins[static_cast<std::size_t>(v)])
-        ls.count(detail::scatter_cached(
-            res.grid, sub, s.map, k, pts[static_cast<std::size_t>(idx)], p.hs,
-            p.ht, s.Hs, s.Ht, s.scale, *cache, kt));
-      lanes[static_cast<std::size_t>(v)] = ls;
+      // Only the accumulation is clipped to the subdomain; the worker's
+      // cache serves the full table and rebases it onto this cylinder, and
+      // keeps the offsets seen so far for its next subdomain.
+      detail::stamp_bin(res.grid, dec.subdomain(v), s.map, k, pts,
+                        bins.bins[static_cast<std::size_t>(v)], p.ht, s.Hs,
+                        s.Ht, s.scale, scratch.of(&pool));
       res.diag.task_seconds[static_cast<std::size_t>(v)] =
           task_timer.seconds();
     });
   });
-  detail::LaneStats::sum(lanes).store(res.diag);
-  res.diag.table_lookups = cache_pool.lookups();
-  res.diag.table_fills = cache_pool.fills();
+  scratch.lanes().store(res.diag);
   return res;
 }
 

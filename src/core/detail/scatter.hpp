@@ -28,24 +28,32 @@
 /// retains the pre-SIMD scalar double-precision loop as the correctness and
 /// performance baseline.
 ///
-/// Each scatter returns true when the clipped cylinder was non-empty (i.e.
-/// the invariant tables were recomputed), so drivers can accumulate lane
-/// statistics from the tables without reading stale values.
+/// Each per-point scatter returns true when the clipped cylinder was
+/// non-empty (i.e. the invariant tables were recomputed), so drivers can
+/// accumulate lane statistics from the tables without reading stale values.
+/// The cached stamp (scatter_cached, looped by stamp_bin) counts its own
+/// into the worker's StampScratch.
 
 #include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "core/config.hpp"
 #include "core/result.hpp"
 #include "geom/voxel_mapper.hpp"
 #include "grid/dense_grid.hpp"
 #include "kernels/invariants.hpp"
 #include "kernels/kernels.hpp"
 #include "kernels/table_cache.hpp"
+#include "sched/thread_pool.hpp"
+#include "util/failpoint.hpp"
+#include "util/memory.hpp"
 
 #if defined(_MSC_VER)
 #define STKDE_RESTRICT __restrict
@@ -344,69 +352,128 @@ bool scatter_sym(DenseGrid3<T>& grid, const Extent3& clip,
   return true;
 }
 
-/// Outcome of scatter_cached. `stamped` mirrors the other scatters' bool;
-/// `filled` is true when this stamp recomputed its spatial table (a cache
-/// miss), so callers accumulate fill-side lane statistics from `table`
-/// without double counting; `table` is valid until the cache's next lookup.
-struct CachedStamp {
-  bool stamped = false;
-  bool filled = false;
-  const kernels::SpatialInvariant* table = nullptr;
-};
-
-/// Fill-side lane statistics of cached stamps (Result::diag's table_cells,
-/// span_cells, table_nonzero). Parallel drivers count into one instance per
-/// task and sum them once the tasks are done, so workers share no counter.
+/// Table-cache and lane statistics of cached stamps (Result::diag's
+/// table_lookups, table_fills, table_cells, span_cells, table_nonzero).
+/// Every stamp counts a lookup; a fill also counts its table's lanes, so
+/// the lane sums cover each computed table once.
 struct LaneStats {
-  std::int64_t cells = 0, span = 0, nonzero = 0;
+  std::int64_t lookups = 0, fills = 0, cells = 0, span = 0, nonzero = 0;
 
-  void count(const CachedStamp& st) {
-    if (!st.filled) return;
-    cells += st.table->cells();
-    span += st.table->span_cells();
-    nonzero += st.table->nonzero();
-  }
-
-  [[nodiscard]] static LaneStats sum(const std::vector<LaneStats>& per_task) {
-    LaneStats t;
-    for (const LaneStats& l : per_task) {
-      t.cells += l.cells;
-      t.span += l.span;
-      t.nonzero += l.nonzero;
-    }
-    return t;
+  LaneStats& operator+=(const LaneStats& o) {
+    lookups += o.lookups;
+    fills += o.fills;
+    cells += o.cells;
+    span += o.span;
+    nonzero += o.nonzero;
+    return *this;
   }
 
   void store(Diagnostics& diag) const {
+    diag.table_lookups = lookups;
+    diag.table_fills = fills;
     diag.table_cells = cells;
     diag.span_cells = span;
     diag.table_nonzero = nonzero;
   }
 };
 
-/// Cache-served scatter_sym: the spatial table comes from \p cache (keyed
-/// on the point's sub-voxel offset, rebased onto this cylinder) instead of
-/// a per-point fill; the temporal table is recomputed as usual. This is the
-/// per-point stamp of the tile engine and of every cached parallel variant
-/// (DR, DD, the PD family, sharded streaming ingest).
+/// One worker's scratch for cached stamps: a spatial-table cache built for
+/// the run's bandwidth, the per-point temporal table, and the worker's
+/// counts. Scratch outlives tasks, so a worker keeps its tables warm from
+/// one task, wave or (for the streaming engine) batch to the next. Aligned
+/// to a cache line so neighbouring workers' scratch, written every stamp,
+/// never shares one.
+struct alignas(util::kSimdAlign) StampScratch {
+  StampScratch(const kernels::TableCacheConfig& cfg, double hs,
+               std::int32_t Hs)
+      : cache(cfg, hs, Hs) {}
+
+  kernels::SpatialTableCache cache;
+  kernels::TemporalInvariant kt;
+  LaneStats lanes;
+};
+
+/// One StampScratch per pool worker, made once per run (once per
+/// IncrementalEstimator), indexed by ThreadPool::worker_index(): no task
+/// allocates a cache or a temporal table, and no two workers share one.
+class StampScratches {
+ public:
+  /// \p workers slots (at least one) with caches configured by \p tile
+  /// for bandwidth \p hs (\p Hs voxels).
+  StampScratches(const TileParams& tile, double hs, std::int32_t Hs,
+                 int workers) {
+    const kernels::TableCacheConfig cfg{tile.table_quant, tile.cache_bytes};
+    const int n = std::max(1, workers);
+    slots_.reserve(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) slots_.emplace_back(cfg, hs, Hs);
+  }
+  // Tasks on the pool's workers hold its address.
+  StampScratches(const StampScratches&) = delete;
+  StampScratches& operator=(const StampScratches&) = delete;
+
+  /// The calling worker's scratch: slot \p pool->worker_index(), or slot 0
+  /// when \p pool is null (the serial walks). Throws std::logic_error off
+  /// the pool's workers or beyond the slots.
+  [[nodiscard]] StampScratch& of(const sched::ThreadPool* pool) {
+    const int w = pool != nullptr ? pool->worker_index() : 0;
+    if (w < 0 || w >= static_cast<int>(slots_.size()))
+      throw std::logic_error("StampScratches: caller has no scratch slot");
+    return slots_[static_cast<std::size_t>(w)];
+  }
+
+  /// Counts summed over every worker since construction. Read only while
+  /// no task stamps (after ThreadPool::parallel_for or DagScheduler::run
+  /// returned, which orders the workers' writes before this read).
+  [[nodiscard]] LaneStats lanes() const {
+    LaneStats t;
+    for (const StampScratch& s : slots_) t += s.lanes;
+    return t;
+  }
+
+ private:
+  std::vector<StampScratch> slots_;
+};
+
+/// Cache-served scatter_sym: the spatial table comes from the scratch's
+/// cache (keyed on the point's sub-voxel offset, rebased onto this
+/// cylinder) instead of a per-point fill; the temporal table is recomputed
+/// as usual. Counts the stamp into \p s.lanes.
 ///
 /// Unlike scatter_sym, the run scale rides in the *temporal* table (it is
 /// per-point scratch) and cached spatial tables are filled unscaled — so a
 /// persistent cache stays warm across passes whose scale differs, notably
 /// the streaming engine's +scale adds alternating with -scale retirements.
 template <kernels::SeparableKernel K, typename T>
-CachedStamp scatter_cached(DenseGrid3<T>& grid, const Extent3& clip,
-                           const VoxelMapper& map, const K& k, const Point& p,
-                           double hs, double ht, std::int32_t Hs,
-                           std::int32_t Ht, double scale,
-                           kernels::SpatialTableCache& cache,
-                           kernels::TemporalInvariant& kt) {
+void scatter_cached(DenseGrid3<T>& grid, const Extent3& clip,
+                    const VoxelMapper& map, const K& k, const Point& p,
+                    double ht, std::int32_t Hs, std::int32_t Ht, double scale,
+                    StampScratch& s) {
   const Extent3 e = clipped_cylinder(map, p, Hs, Ht, clip);
-  if (e.empty()) return {};
-  const auto lk = cache.lookup(k, map, p, hs, Hs, /*scale=*/1.0);
-  kt.compute(k, map, p, ht, Ht, scale);
-  scatter_tables(grid, e, lk.table, kt);
-  return {true, lk.filled, &lk.table};
+  if (e.empty()) return;
+  const auto lk = s.cache.lookup(k, map, p);
+  s.kt.compute(k, map, p, ht, Ht, scale);
+  scatter_tables(grid, e, lk.table, s.kt);
+  ++s.lanes.lookups;
+  if (!lk.filled) return;
+  ++s.lanes.fills;
+  s.lanes.cells += lk.table.cells();
+  s.lanes.span += lk.table.span_cells();
+  s.lanes.nonzero += lk.table.nonzero();
+}
+
+/// The one cached stamp loop, under DR, DD, the PD family, PB-TILE's walks
+/// and so streaming ingest: stamps pts[i] for every i of \p bin (a bin
+/// slice, in scatter order) into \p target, clipped to \p clip, through
+/// the calling worker's scratch \p s.
+template <kernels::SeparableKernel K, typename T>
+void stamp_bin(DenseGrid3<T>& target, const Extent3& clip,
+               const VoxelMapper& map, const K& k, const PointSet& pts,
+               std::span<const std::uint32_t> bin, double ht, std::int32_t Hs,
+               std::int32_t Ht, double scale, StampScratch& s) {
+  // Chaos site: a fault inside a worker task, before its first write.
+  STKDE_FAILPOINT("stamp.task");
+  for (const std::uint32_t i : bin)
+    scatter_cached(target, clip, map, k, pts[i], ht, Hs, Ht, scale, s);
 }
 
 /// Retained scalar reference (the pre-SIMD scatter_sym): double-precision

@@ -1,7 +1,7 @@
 #pragma once
 /// \file tile_scatter.hpp
 /// The PB-TILE scatter engine (docs/SCATTER_CORE.md): tile-major,
-/// Morton-sorted batch scatter with a shared invariant-table cache.
+/// Morton-sorted batch scatter with per-worker invariant-table caches.
 ///
 /// PB-SYM made the per-voxel work a pure FMA; what remains on large batches
 /// is the memory hierarchy — arrival-order scatter walks the grid randomly,
@@ -42,23 +42,24 @@
 ///    grid via accumulate_buffer. Scatter and fold-back are pipelined per
 ///    strided wave (stride sized so same-wave halo footprints are
 ///    disjoint), bounding peak halo memory to one wave's buffers.
-/// Spatial tables come from a caller-owned kernels::TableCachePool, so a
-/// long-lived caller (the streaming engine) keeps its caches warm across
-/// passes. Every schedule is bitwise deterministic with the exact
-/// (quant == 0) cache: wave order is fixed, within a wave writers touch
-/// disjoint voxels, and within a tile the Morton order fixes the
-/// accumulation order. (The quantized cache's first-arrival representatives
-/// depend on the dynamic tile-to-worker assignment, so quantized parallel
-/// runs vary within the documented 1/Q error bound.)
+/// Every bin is stamped by stamp_bin through the calling worker's slot of a
+/// caller-owned StampScratches, so a long-lived caller (the streaming
+/// engine) keeps its caches warm across passes. Every schedule is bitwise
+/// deterministic with the exact (quant == 0) cache: wave order is fixed,
+/// within a wave writers touch disjoint voxels, and within a tile the
+/// Morton order fixes the accumulation order. (The quantized cache's
+/// first-arrival representatives depend on the dynamic tile-to-worker
+/// assignment, so quantized parallel runs vary within the documented 1/Q
+/// error bound.)
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/detail/scatter.hpp"
 #include "grid/reduction.hpp"
-#include "kernels/table_cache.hpp"
 #include "partition/tile_order.hpp"
 #include "sched/coloring.hpp"
 #include "sched/stencil_graph.hpp"
@@ -82,20 +83,12 @@ enum class TileSchedule {
   return "?";
 }
 
-/// What one engine pass did (feeds Result::diag and the streaming stats).
+/// How one engine pass was scheduled (feeds Result::diag and the
+/// streaming stats; the table counts are in the StampScratches).
 struct TileScatterStats {
-  std::int64_t lookups = 0;      ///< table-cache lookups
-  std::int64_t fills = 0;        ///< table-cache misses (tables computed)
-  LaneStats lanes;               ///< accumulated on fills only
   std::int64_t waves = 0;            ///< parity/stride waves run (0 = serial)
   std::int64_t replica_tasks = 0;    ///< hotspot replica tasks (pre-wave)
   std::uint64_t halo_bytes = 0;      ///< peak halo-buffer memory (kHaloBuffer)
-
-  [[nodiscard]] double hit_rate() const {
-    return lookups > 0
-               ? 1.0 - static_cast<double>(fills) / static_cast<double>(lookups)
-               : 0.0;
-  }
 };
 
 /// A resolved traversal: the tiling to bin onto and the schedule to run.
@@ -151,27 +144,18 @@ namespace tile_walk {
 /// voxel of a cylinder belongs to exactly one tile and the union of
 /// tile-clipped stamps equals the PB-SYM stamp.
 template <kernels::SeparableKernel K, typename T>
-TileScatterStats serial(DenseGrid3<T>& grid, const Extent3& clip,
-                        const VoxelMapper& map, const K& k,
-                        const PointSet& pts, double hs, double ht,
-                        std::int32_t Hs, std::int32_t Ht, double scale,
-                        const Decomposition& tiles, const PointBins& bins,
-                        kernels::TableCachePool& caches) {
-  TileScatterStats stats;
-  auto cache = caches.acquire();
-  kernels::TemporalInvariant kt;
+void serial(DenseGrid3<T>& grid, const Extent3& clip, const VoxelMapper& map,
+            const K& k, const PointSet& pts, double ht, std::int32_t Hs,
+            std::int32_t Ht, double scale, const Decomposition& tiles,
+            const PointBins& bins, StampScratch& scratch) {
   const std::int64_t nsub = tiles.count();
   for (std::int64_t v = 0; v < nsub; ++v) {
     const auto& bin = bins.bins[static_cast<std::size_t>(v)];
     if (bin.empty()) continue;
     const Extent3 tclip = tiles.subdomain(v).intersect(clip);
     if (tclip.empty()) continue;
-    // The temporal table is O(Ht) to fill — not worth caching.
-    for (const std::uint32_t idx : bin)
-      stats.lanes.count(scatter_cached(grid, tclip, map, k, pts[idx], hs, ht,
-                                       Hs, Ht, scale, *cache, kt));
+    stamp_bin(grid, tclip, map, k, pts, bin, ht, Hs, Ht, scale, scratch);
   }
-  return stats;
 }
 
 /// The parallel walk over owner bins: parity waves (with the hotspot
@@ -180,32 +164,22 @@ TileScatterStats serial(DenseGrid3<T>& grid, const Extent3& clip,
 template <kernels::SeparableKernel K, typename T>
 TileScatterStats parallel(DenseGrid3<T>& grid, const Extent3& clip,
                           const VoxelMapper& map, const K& k,
-                          const PointSet& pts, double hs, double ht,
-                          std::int32_t Hs, std::int32_t Ht, double scale,
-                          const TilePlan& plan, const PointBins& bins,
-                          kernels::TableCachePool& caches,
+                          const PointSet& pts, double ht, std::int32_t Hs,
+                          std::int32_t Ht, double scale, const TilePlan& plan,
+                          const PointBins& bins, StampScratches& scratch,
                           sched::ThreadPool& pool) {
   TileScatterStats stats;
   const Decomposition& tiles = plan.tiles;
   const auto nsub = static_cast<std::size_t>(tiles.count());
-  // One slot per task that may run concurrently: tile v's own stamp, or
-  // one of its replicas (appended below).
-  std::vector<LaneStats> lanes(nsub);
 
   // Points [lo, hi) of tile v's bin, owner-computed into `target` and
   // clipped to `tclip` (the full clip in place, the halo extent for
-  // buffers); `slot` receives the task's lane stats.
+  // buffers), through the running worker's scratch.
   auto scatter_bin = [&](DenseGrid3<T>& target, const Extent3& tclip,
-                         std::size_t v, std::size_t lo, std::size_t hi,
-                         std::size_t slot) {
-    auto cache = caches.acquire();
-    kernels::TemporalInvariant kt;
-    LaneStats ls;
-    const auto& bin = bins.bins[v];
-    for (std::size_t i = lo; i < hi; ++i)
-      ls.count(scatter_cached(target, tclip, map, k, pts[bin[i]], hs, ht, Hs,
-                              Ht, scale, *cache, kt));
-    lanes[slot] = ls;
+                         std::size_t v, std::size_t lo, std::size_t hi) {
+    stamp_bin(target, tclip, map, k, pts,
+              std::span<const std::uint32_t>(bins.bins[v]).subspan(lo, hi - lo),
+              ht, Hs, Ht, scale, scratch.of(&pool));
   };
   std::vector<Extent3> halos(nsub);
   auto halo_of = [&](std::size_t v) {
@@ -243,15 +217,13 @@ TileScatterStats parallel(DenseGrid3<T>& grid, const Extent3& clip,
       }
     }
     stats.replica_tasks = static_cast<std::int64_t>(replicas.size());
-    lanes.resize(nsub + replicas.size());
     pool.parallel_for(
         static_cast<std::int64_t>(replicas.size()), [&](std::int64_t i) {
           const Replica& rp = replicas[static_cast<std::size_t>(i)];
           DenseGrid3<T>& buf = buffers[rp.tile][rp.rep];
           buf.allocate(halos[rp.tile]);
           buf.fill(static_cast<T>(0));
-          scatter_bin(buf, halos[rp.tile], rp.tile, rp.lo, rp.hi,
-                      nsub + static_cast<std::size_t>(i));
+          scatter_bin(buf, halos[rp.tile], rp.tile, rp.lo, rp.hi);
         });
 
     // Four (a, b)-parity waves over the subdomain conflict graph; c is
@@ -270,7 +242,7 @@ TileScatterStats parallel(DenseGrid3<T>& grid, const Extent3& clip,
           static_cast<std::int64_t>(wave.size()), [&](std::int64_t i) {
             const std::size_t v = wave[static_cast<std::size_t>(i)];
             if (buffers[v].empty()) {
-              scatter_bin(grid, clip, v, 0, bins.bins[v].size(), v);
+              scatter_bin(grid, clip, v, 0, bins.bins[v].size());
               return;
             }
             for (const auto& buf : buffers[v]) accumulate_buffer(grid, buf);
@@ -314,7 +286,7 @@ TileScatterStats parallel(DenseGrid3<T>& grid, const Extent3& clip,
           const std::size_t v = work[static_cast<std::size_t>(i)];
           buffers[v].allocate(halos[v]);
           buffers[v].fill(static_cast<T>(0));
-          scatter_bin(buffers[v], halos[v], v, 0, bins.bins[v].size(), v);
+          scatter_bin(buffers[v], halos[v], v, 0, bins.bins[v].size());
         });
         pool.parallel_for(n, [&](std::int64_t i) {
           const std::size_t v = work[static_cast<std::size_t>(i)];
@@ -323,7 +295,6 @@ TileScatterStats parallel(DenseGrid3<T>& grid, const Extent3& clip,
         });
       }
   }
-  stats.lanes = LaneStats::sum(lanes);
   return stats;
 }
 
@@ -332,32 +303,26 @@ TileScatterStats parallel(DenseGrid3<T>& grid, const Extent3& clip,
 /// The tile engine's one entry point (PB-TILE and every streaming ingest
 /// batch): scatter \p pts into \p grid under \p plan from
 /// plan_tile_schedule. \p bins must be binned onto plan.tiles by
-/// tile_major_bins with plan.bin_rule(). Spatial tables come from
-/// \p caches, which the caller owns: a caller that keeps it across passes
-/// keeps its tables warm. \p pool runs the parallel schedules and may be
-/// null for TileSchedule::kSerial.
+/// tile_major_bins with plan.bin_rule(). Spatial tables and table counts
+/// live in \p scratch, which the caller owns — one slot per worker of
+/// \p pool, and slot 0 serves the serial walk: a caller that keeps it
+/// across passes keeps its tables warm. \p pool runs the parallel
+/// schedules and may be null for TileSchedule::kSerial.
 template <kernels::SeparableKernel K, typename T>
 TileScatterStats scatter_tile_major(DenseGrid3<T>& grid, const Extent3& clip,
                                     const VoxelMapper& map, const K& k,
-                                    const PointSet& pts, double hs, double ht,
+                                    const PointSet& pts, double ht,
                                     std::int32_t Hs, std::int32_t Ht,
                                     double scale, const TilePlan& plan,
                                     const PointBins& bins,
-                                    kernels::TableCachePool& caches,
+                                    StampScratches& scratch,
                                     sched::ThreadPool* pool) {
-  // Pool totals are read while no lease is live: before the walk and after
-  // its last task returned.
-  const std::int64_t lookups_before = caches.lookups();
-  const std::int64_t fills_before = caches.fills();
-  TileScatterStats stats =
-      plan.schedule == TileSchedule::kSerial
-          ? tile_walk::serial(grid, clip, map, k, pts, hs, ht, Hs, Ht, scale,
-                              plan.tiles, bins, caches)
-          : tile_walk::parallel(grid, clip, map, k, pts, hs, ht, Hs, Ht,
-                                scale, plan, bins, caches, *pool);
-  stats.lookups = caches.lookups() - lookups_before;
-  stats.fills = caches.fills() - fills_before;
-  return stats;
+  if (plan.schedule != TileSchedule::kSerial)
+    return tile_walk::parallel(grid, clip, map, k, pts, ht, Hs, Ht, scale,
+                               plan, bins, scratch, *pool);
+  tile_walk::serial(grid, clip, map, k, pts, ht, Hs, Ht, scale, plan.tiles,
+                    bins, scratch.of(nullptr));
+  return {};
 }
 
 }  // namespace stkde::core::detail

@@ -1,8 +1,10 @@
+#include <algorithm>
+#include <span>
+
 #include "core/algorithms.hpp"
 #include "core/detail/common.hpp"
 #include "core/detail/scatter.hpp"
 #include "grid/reduction.hpp"
-#include "kernels/table_cache.hpp"
 #include "partition/binning.hpp"
 #include "partition/tile_order.hpp"
 #include "sched/thread_pool.hpp"
@@ -19,9 +21,9 @@ namespace stkde::core {
 // The static split runs over the points in scatter order, not arrival
 // order: all indices are Morton-sorted once as a single bin (the bin
 // phase), so each chunk is a spatially compact part of the domain, and its
-// stamps go through the shared cached stamp — spatial tables come from a
-// leased per-chunk cache like DD/PD's instead of a fill per point. Chunk i
-// always lands in replica i, so the worker that runs it does not matter.
+// stamps go through the shared cached stamp — spatial tables come from the
+// worker's cache like DD/PD's instead of a fill per point. Chunk i always
+// lands in replica i, so the worker that runs it does not matter.
 Result run_pb_sym_dr(const PointSet& pts, const DomainSpec& dom,
                      const Params& p) {
   p.validate();
@@ -61,31 +63,20 @@ Result run_pb_sym_dr(const PointSet& pts, const DomainSpec& dom,
   {
     util::ScopedPhase compute(res.phases, phase::kCompute);
     const Extent3 whole = Extent3::whole(d);
-    const auto n = static_cast<std::int64_t>(idx.size());
-    std::vector<detail::LaneStats> lanes(static_cast<std::size_t>(P));
-    kernels::TableCachePool cache_pool(
-        kernels::TableCacheConfig{p.tile.table_quant, p.tile.cache_bytes},
-        s.Hs);
+    const std::size_t n = idx.size();
+    const std::size_t chunk = (n + static_cast<std::size_t>(P) - 1) /
+                              static_cast<std::size_t>(P);
+    detail::StampScratches scratch(p.tile, p.hs, s.Hs, P);
     detail::with_kernel(p.kernel, [&](const auto& k) {
       pool.parallel_for(P, [&](std::int64_t id) {
-        DenseGrid3<float>& local = replicas[static_cast<std::size_t>(id)];
-        auto cache = cache_pool.acquire();
-        kernels::TemporalInvariant kt;
-        const std::int64_t chunk = (n + P - 1) / P;
-        const std::int64_t lo = std::min<std::int64_t>(n, id * chunk);
-        const std::int64_t hi = std::min<std::int64_t>(n, lo + chunk);
-        detail::LaneStats ls;
-        for (std::int64_t i = lo; i < hi; ++i)
-          ls.count(detail::scatter_cached(
-              local, whole, s.map, k,
-              pts[static_cast<std::size_t>(idx[static_cast<std::size_t>(i)])],
-              p.hs, p.ht, s.Hs, s.Ht, s.scale, *cache, kt));
-        lanes[static_cast<std::size_t>(id)] = ls;
+        const std::size_t lo = std::min(n, static_cast<std::size_t>(id) * chunk);
+        detail::stamp_bin(replicas[static_cast<std::size_t>(id)], whole, s.map,
+                          k, pts,
+                          std::span(idx).subspan(lo, std::min(n - lo, chunk)),
+                          p.ht, s.Hs, s.Ht, s.scale, scratch.of(&pool));
       });
     });
-    detail::LaneStats::sum(lanes).store(res.diag);
-    res.diag.table_lookups = cache_pool.lookups();
-    res.diag.table_fills = cache_pool.fills();
+    scratch.lanes().store(res.diag);
   }
 
   {

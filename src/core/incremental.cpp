@@ -8,7 +8,6 @@
 #include "core/detail/common.hpp"
 #include "core/detail/scatter.hpp"
 #include "core/detail/tile_scatter.hpp"
-#include "kernels/table_cache.hpp"
 #include "partition/tile_order.hpp"
 #include "sched/thread_pool.hpp"
 #include "util/failpoint.hpp"
@@ -37,10 +36,8 @@ IncrementalEstimator::IncrementalEstimator(const DomainSpec& dom,
       Hs_(dom.spatial_bandwidth_voxels(params.hs)),
       Ht_(dom.temporal_bandwidth_voxels(params.ht)),
       bucket_w_(resolve_bucket_width(cfg, params)),
-      caches_(std::make_unique<kernels::TableCachePool>(
-          kernels::TableCacheConfig{params.tile.table_quant,
-                                    params.tile.cache_bytes},
-          Hs_)),
+      scratch_(std::make_unique<detail::StampScratches>(
+          params.tile, params.hs, Hs_, cfg.threads)),
       last_cutoff_(-std::numeric_limits<double>::infinity()) {
   params_.validate();
   if (!(bucket_w_ > 0.0))
@@ -80,12 +77,13 @@ void IncrementalEstimator::apply(const PointSet& batch, double sign) {
   const double scale = sign * base_scale();
   detail::with_kernel(params_.kernel, [&](const auto& k) {
     const detail::TileScatterStats st = detail::scatter_tile_major(
-        raw_, Extent3::whole(map_.dims()), map_, k, batch, params_.hs,
-        params_.ht, Hs_, Ht_, scale, plan, bins, *caches_, pool_.get());
-    stats_.table_lookups += static_cast<std::uint64_t>(st.lookups);
-    stats_.table_fills += static_cast<std::uint64_t>(st.fills);
+        raw_, Extent3::whole(map_.dims()), map_, k, batch, params_.ht, Hs_,
+        Ht_, scale, plan, bins, *scratch_, pool_.get());
     stats_.replica_tasks += static_cast<std::uint64_t>(st.replica_tasks);
   });
+  const detail::LaneStats lanes = scratch_->lanes();
+  stats_.table_lookups = static_cast<std::uint64_t>(lanes.lookups);
+  stats_.table_fills = static_cast<std::uint64_t>(lanes.fills);
 }
 
 void IncrementalEstimator::mark_dirty(const PointSet& batch) {

@@ -92,8 +92,8 @@ namespace stkde::sched {
 class ThreadPool;
 }
 
-namespace stkde::kernels {
-class TableCachePool;
+namespace stkde::core::detail {
+class StampScratches;
 }
 
 namespace stkde::core {
@@ -459,10 +459,11 @@ class IncrementalEstimator {
   std::int32_t Hs_;
   std::int32_t Ht_;
   double bucket_w_;
-  /// The tile engine's spatial-table caches. They persist across batches,
-  /// so recorded-resolution feeds stay warm (a fresh pool per batch would
-  /// refill, and reallocate, every table).
-  std::unique_ptr<kernels::TableCachePool> caches_;
+  /// The tile engine's per-worker stamp scratch (one slot per ingest
+  /// worker). Its caches persist across batches, so recorded-resolution
+  /// feeds stay warm (fresh caches per batch would refill, and reallocate,
+  /// every table), and its counts are stats().table_lookups/table_fills.
+  std::unique_ptr<detail::StampScratches> scratch_;
   std::unique_ptr<sched::ThreadPool> pool_;  ///< null when threads <= 1
 
   DensityGrid raw_;  ///< writer-private staging grid

@@ -56,18 +56,15 @@ Result run_pb_tile(const PointSet& pts, const DomainSpec& dom,
   res.diag.tile_threads = plan.threads;
 
   util::ScopedPhase compute(res.phases, phase::kCompute);
-  kernels::TableCachePool caches(
-      kernels::TableCacheConfig{p.tile.table_quant, p.tile.cache_bytes}, s.Hs);
+  detail::StampScratches scratch(p.tile, p.hs, s.Hs, P);
   detail::with_kernel(p.kernel, [&](const auto& k) {
     const detail::TileScatterStats st = detail::scatter_tile_major(
-        res.grid, Extent3::whole(s.map.dims()), s.map, k, pts, p.hs, p.ht,
-        s.Hs, s.Ht, s.scale, plan, bins, caches, &pool);
-    st.lanes.store(res.diag);
-    res.diag.table_lookups = st.lookups;
-    res.diag.table_fills = st.fills;
+        res.grid, Extent3::whole(s.map.dims()), s.map, k, pts, p.ht, s.Hs,
+        s.Ht, s.scale, plan, bins, scratch, &pool);
     res.diag.num_colors = static_cast<std::int32_t>(st.waves);
     res.diag.extra_bytes = st.halo_bytes;
   });
+  scratch.lanes().store(res.diag);
   return res;
 }
 

@@ -1,7 +1,6 @@
 #include "core/algorithms.hpp"
 #include "core/detail/common.hpp"
 #include "core/detail/scatter.hpp"
-#include "kernels/table_cache.hpp"
 #include "partition/binning.hpp"
 #include "partition/load.hpp"
 #include "partition/tile_order.hpp"
@@ -19,8 +18,8 @@ namespace stkde::core {
 //
 // Tile treatment (docs/SCATTER_CORE.md): each bin is Morton-sorted so a
 // worker walks its subdomain in scatter order, and spatial tables come from
-// a leased offset-keyed cache (Params::tile knobs) instead of a fresh fill
-// per point.
+// the worker's offset-keyed cache (Params::tile knobs) instead of a fresh
+// fill per point.
 Result run_pb_sym_pd(const PointSet& pts, const DomainSpec& dom,
                      const Params& p) {
   p.validate();
@@ -63,36 +62,26 @@ Result run_pb_sym_pd(const PointSet& pts, const DomainSpec& dom,
   util::ScopedPhase compute(res.phases, phase::kCompute);
   const Extent3 whole = Extent3::whole(d);
   res.diag.task_seconds.assign(static_cast<std::size_t>(dec.count()), 0.0);
-  std::vector<detail::LaneStats> lanes(static_cast<std::size_t>(dec.count()));
   std::vector<std::vector<std::int64_t>> sets(
       static_cast<std::size_t>(col.num_colors));
   for (std::int64_t v = 0; v < dec.count(); ++v)
     sets[static_cast<std::size_t>(col.color[static_cast<std::size_t>(v)])]
         .push_back(v);
-  // Leases return to the pool warm, so a worker keeps finding warm tables
-  // from one subdomain, and one parity set, to the next.
-  kernels::TableCachePool cache_pool(
-      kernels::TableCacheConfig{p.tile.table_quant, p.tile.cache_bytes}, s.Hs);
+  // Each worker's cache stays warm from one subdomain, and one parity set,
+  // to the next.
+  detail::StampScratches scratch(p.tile, p.hs, s.Hs, P);
   detail::with_kernel(p.kernel, [&](const auto& k) {
     for (const auto& set : sets)
       pool.parallel_for(
           static_cast<std::int64_t>(set.size()), [&](std::int64_t i) {
             util::Timer task_timer;
-            auto cache = cache_pool.acquire();
-            kernels::TemporalInvariant kt;
-            detail::LaneStats ls;
             const auto v = static_cast<std::size_t>(set[static_cast<std::size_t>(i)]);
-            for (const std::uint32_t idx : bins.bins[v])
-              ls.count(detail::scatter_cached(
-                  res.grid, whole, s.map, k, pts[static_cast<std::size_t>(idx)],
-                  p.hs, p.ht, s.Hs, s.Ht, s.scale, *cache, kt));
-            lanes[v] = ls;
+            detail::stamp_bin(res.grid, whole, s.map, k, pts, bins.bins[v],
+                              p.ht, s.Hs, s.Ht, s.scale, scratch.of(&pool));
             res.diag.task_seconds[v] = task_timer.seconds();
           });
   });
-  detail::LaneStats::sum(lanes).store(res.diag);
-  res.diag.table_lookups = cache_pool.lookups();
-  res.diag.table_fills = cache_pool.fills();
+  scratch.lanes().store(res.diag);
   return res;
 }
 

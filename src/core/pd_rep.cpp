@@ -1,10 +1,10 @@
 #include <algorithm>
+#include <span>
 
 #include "core/algorithms.hpp"
 #include "core/detail/common.hpp"
 #include "core/detail/scatter.hpp"
 #include "grid/reduction.hpp"
-#include "kernels/table_cache.hpp"
 #include "partition/binning.hpp"
 #include "partition/load.hpp"
 #include "partition/tile_order.hpp"
@@ -110,10 +110,9 @@ Result run_pb_sym_pd_rep(const PointSet& pts, const DomainSpec& dom,
   // Replica buffers, per replicated subdomain.
   std::vector<std::vector<DenseGrid3<float>>> buffers(
       static_cast<std::size_t>(nsub));
-  // Tile treatment: every scatter task (direct or replica) leases a warm
-  // per-worker table cache; the caches persist for the whole DAG run.
-  kernels::TableCachePool cache_pool(
-      kernels::TableCacheConfig{p.tile.table_quant, p.tile.cache_bytes}, s.Hs);
+  // Tile treatment: every scatter task (direct or replica) stamps through
+  // its worker's table cache, which persists for the whole DAG run.
+  detail::StampScratches scratch(p.tile, p.hs, s.Hs, P);
   detail::with_kernel(p.kernel, [&](const auto& k) {
     sched::DagScheduler dag;
     // write_task[v]: the task that mutates the shared grid for subdomain v
@@ -121,14 +120,9 @@ Result run_pb_sym_pd_rep(const PointSet& pts, const DomainSpec& dom,
     std::vector<std::size_t> write_task(static_cast<std::size_t>(nsub));
 
     auto scatter_points = [&](DenseGrid3<float>& target, const Extent3& clip,
-                              const std::vector<std::uint32_t>& idxs,
-                              std::size_t lo, std::size_t hi) {
-      auto cache = cache_pool.acquire();
-      kernels::TemporalInvariant kt;
-      for (std::size_t i = lo; i < hi; ++i)
-        detail::scatter_cached(target, clip, s.map, k,
-                               pts[static_cast<std::size_t>(idxs[i])], p.hs,
-                               p.ht, s.Hs, s.Ht, s.scale, *cache, kt);
+                              std::span<const std::uint32_t> idxs) {
+      detail::stamp_bin(target, clip, s.map, k, pts, idxs, p.ht, s.Hs, s.Ht,
+                        s.scale, scratch.of(&pool));
     };
 
     for (std::int64_t v = 0; v < nsub; ++v) {
@@ -137,10 +131,7 @@ Result run_pb_sym_pd_rep(const PointSet& pts, const DomainSpec& dom,
       const auto& idxs = bins.bins[sv];
       if (r <= 1) {
         write_task[sv] = dag.add_task(
-            [&, sv] {
-              scatter_points(res.grid, whole, bins.bins[sv], 0,
-                             bins.bins[sv].size());
-            },
+            [&, sv] { scatter_points(res.grid, whole, bins.bins[sv]); },
             loads[sv]);
         continue;
       }
@@ -150,13 +141,15 @@ Result run_pb_sym_pd_rep(const PointSet& pts, const DomainSpec& dom,
       const std::size_t chunk = (idxs.size() + r - 1) / static_cast<std::size_t>(r);
       for (std::int32_t rep = 0; rep < r; ++rep) {
         const std::size_t lo = std::min(idxs.size(), rep * chunk);
-        const std::size_t hi = std::min(idxs.size(), lo + chunk);
+        const std::span<const std::uint32_t> part =
+            std::span<const std::uint32_t>(idxs).subspan(
+                lo, std::min(idxs.size() - lo, chunk));
         replica_ids.push_back(dag.add_task(
-            [&, sv, rep, lo, hi] {
+            [&, sv, rep, part] {
               DenseGrid3<float>& buf = buffers[sv][static_cast<std::size_t>(rep)];
               buf.allocate(halo[sv]);
               buf.fill(0.0f);
-              scatter_points(buf, halo[sv], bins.bins[sv], lo, hi);
+              scatter_points(buf, halo[sv], part);
             },
             loads[sv] / r));
       }
@@ -176,8 +169,7 @@ Result run_pb_sym_pd_rep(const PointSet& pts, const DomainSpec& dom,
     for (std::size_t i = 0; i < dag.task_count(); ++i)
       res.diag.task_seconds[i] = dag.finish_times()[i] - dag.start_times()[i];
   });
-  res.diag.table_lookups = cache_pool.lookups();
-  res.diag.table_fills = cache_pool.fills();
+  scratch.lanes().store(res.diag);
   return res;
 }
 

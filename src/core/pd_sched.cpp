@@ -1,7 +1,6 @@
 #include "core/algorithms.hpp"
 #include "core/detail/common.hpp"
 #include "core/detail/scatter.hpp"
-#include "kernels/table_cache.hpp"
 #include "partition/binning.hpp"
 #include "partition/load.hpp"
 #include "partition/tile_order.hpp"
@@ -61,22 +60,17 @@ Result run_pb_sym_pd_sched(const PointSet& pts, const DomainSpec& dom,
   const Extent3 whole = Extent3::whole(d);
   const std::int64_t nsub = dec.count();
   res.diag.task_seconds.assign(static_cast<std::size_t>(nsub), 0.0);
-  // Tile treatment: tasks lease a warm per-worker table cache from the pool
-  // (leases outlive single tasks only, the caches persist for the run).
-  kernels::TableCachePool cache_pool(
-      kernels::TableCacheConfig{p.tile.table_quant, p.tile.cache_bytes}, s.Hs);
+  // Tile treatment: every task stamps through its worker's table cache,
+  // which persists for the run.
+  detail::StampScratches scratch(p.tile, p.hs, s.Hs, P);
   detail::with_kernel(p.kernel, [&](const auto& k) {
     sched::DagScheduler dag;
     for (std::int64_t v = 0; v < nsub; ++v) {
       dag.add_task(
           [&, v] {
-            auto cache = cache_pool.acquire();
-            kernels::TemporalInvariant kt;
-            for (const std::uint32_t idx :
-                 bins.bins[static_cast<std::size_t>(v)])
-              detail::scatter_cached(res.grid, whole, s.map, k,
-                                     pts[static_cast<std::size_t>(idx)], p.hs,
-                                     p.ht, s.Hs, s.Ht, s.scale, *cache, kt);
+            detail::stamp_bin(res.grid, whole, s.map, k, pts,
+                              bins.bins[static_cast<std::size_t>(v)], p.ht,
+                              s.Hs, s.Ht, s.scale, scratch.of(&pool));
           },
           loads[static_cast<std::size_t>(v)]);
     }
@@ -87,8 +81,7 @@ Result run_pb_sym_pd_sched(const PointSet& pts, const DomainSpec& dom,
           dag.finish_times()[static_cast<std::size_t>(v)] -
           dag.start_times()[static_cast<std::size_t>(v)];
   });
-  res.diag.table_lookups = cache_pool.lookups();
-  res.diag.table_fills = cache_pool.fills();
+  scratch.lanes().store(res.diag);
   return res;
 }
 

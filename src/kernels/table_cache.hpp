@@ -28,19 +28,20 @@
 /// Storage is a direct-mapped slot array (slot = hash(key) mod slots; a
 /// colliding miss overwrites), so memory is bounded by the byte budget and
 /// lookups are O(1) with zero allocator traffic after warm-up.
+///
+/// A cache is built for one bandwidth (hs, Hs) and fills its tables
+/// unscaled, so its entries never go stale. It is single-owner scratch
+/// (lookup() rebases a stored table and returns a reference to it): the
+/// parallel drivers give each pool worker its own cache inside a
+/// core::detail::StampScratch.
 
 #include <bit>
 #include <cstdint>
-#include <limits>
-#include <memory>
 #include <vector>
 
 #include "geom/voxel_mapper.hpp"
 #include "kernels/invariants.hpp"
 #include "kernels/kernels.hpp"
-#include "util/failpoint.hpp"
-#include "util/mutex.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace stkde::kernels {
 
@@ -73,9 +74,10 @@ class SpatialTableCache {
     bool filled;
   };
 
-  /// \p Hs sizes the slots: each slot holds one (2Hs+1)² float table.
-  SpatialTableCache(const TableCacheConfig& cfg, std::int32_t Hs)
-      : quant_(cfg.quant) {
+  /// Tables are filled for bandwidth \p hs (domain units, \p Hs voxels) at
+  /// scale 1. \p Hs also sizes the slots: each holds one (2Hs+1)² table.
+  SpatialTableCache(const TableCacheConfig& cfg, double hs, std::int32_t Hs)
+      : quant_(cfg.quant), hs_(hs), Hs_(Hs) {
     const std::uint64_t side = 2 * static_cast<std::uint64_t>(Hs) + 1;
     const std::uint64_t table_bytes = side * side * sizeof(float) + 64;
     std::uint64_t slots = cfg.max_bytes / (table_bytes == 0 ? 1 : table_bytes);
@@ -90,26 +92,14 @@ class SpatialTableCache {
     slots_.resize(static_cast<std::size_t>(slots));
   }
 
+  /// The unscaled spatial table of \p p, from its slot or filled into it.
   template <SeparableKernel K>
-  Lookup lookup(const K& k, const VoxelMapper& map, const Point& p, double hs,
-                std::int32_t Hs, double scale) {
-    ++lookups_;
-    // Tables fold (hs, scale) into their entries, so a persistent cache
-    // (TableCachePool) must drop every entry when either changes — a stale
-    // hit would stamp the wrong magnitude. The hot path never trips this:
-    // scatter_cached always looks up at scale 1 (the run scale rides in the
-    // per-point temporal table) and hs is fixed per run/estimator.
-    if (hs != hs_ || scale != scale_) {
-      for (Slot& s : slots_) s.used = false;
-      scratch_.used = false;
-      hs_ = hs;
-      scale_ = scale;
-    }
+  Lookup lookup(const K& k, const VoxelMapper& map, const Point& p) {
     const DomainSpec& d = map.spec();
     const Voxel c = map.voxel_of(p);
     const double fx = (p.x - d.x0) / d.sres - c.x;
     const double fy = (p.y - d.y0) / d.sres - c.y;
-    const std::int32_t x_lo = c.x - Hs, y_lo = c.y - Hs;
+    const std::int32_t x_lo = c.x - Hs_, y_lo = c.y - Hs_;
 
     Slot* s = nullptr;
     std::uint64_t kx = 0, ky = 0;
@@ -139,24 +129,15 @@ class SpatialTableCache {
 
     const bool hit = s->used && s->kx == kx && s->ky == ky;
     if (!hit) {
-      s->table.compute_offset(k, fx, fy, d.sres, hs, Hs, scale);
+      s->table.compute_offset(k, fx, fy, d.sres, hs_, Hs_, 1.0);
       s->kx = kx;
       s->ky = ky;
       s->used = true;
-      ++fills_;
     }
     s->table.rebase(x_lo, y_lo);
     return Lookup{s->table, !hit};
   }
 
-  [[nodiscard]] std::int64_t lookups() const { return lookups_; }
-  [[nodiscard]] std::int64_t fills() const { return fills_; }
-  /// Fraction of lookups served without a table fill.
-  [[nodiscard]] double hit_rate() const {
-    return lookups_ > 0
-               ? 1.0 - static_cast<double>(fills_) / static_cast<double>(lookups_)
-               : 0.0;
-  }
   [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }
   [[nodiscard]] std::int32_t quant() const { return quant_; }
 
@@ -195,104 +176,10 @@ class SpatialTableCache {
   }
 
   std::int32_t quant_;
+  double hs_;
+  std::int32_t Hs_;
   std::vector<Slot> slots_;
   Slot scratch_;  ///< exact-fill path for out-of-lattice offsets
-  std::int64_t lookups_ = 0;
-  std::int64_t fills_ = 0;
-  // The (hs, scale) the cached tables were filled with; NaN = never filled,
-  // so the first lookup always installs the caller's values.
-  double hs_ = std::numeric_limits<double>::quiet_NaN();
-  double scale_ = std::numeric_limits<double>::quiet_NaN();
-};
-
-/// A mutex-guarded pool of SpatialTableCache instances for the parallel
-/// scatter paths: SpatialTableCache is single-owner scratch state (lookup()
-/// returns a reference into the cache), so each concurrent worker leases a
-/// private instance for the duration of its task and returns it when done.
-/// Leased caches stay warm across tasks — a worker picking up the next tile
-/// usually inherits a cache already holding that neighbourhood's tables.
-/// At most `max(concurrent leases)` caches are ever created, so memory is
-/// bounded by P × TableCacheConfig::max_bytes.
-///
-/// The aggregate counters are safe to read once every lease has been
-/// returned (after ThreadPool::parallel_for or DagScheduler::run): the lease
-/// release takes the pool mutex, which orders the workers' counter writes
-/// before the reader's sums.
-class TableCachePool {
- public:
-  TableCachePool(const TableCacheConfig& cfg, std::int32_t Hs)
-      : cfg_(cfg), hs_(Hs) {}
-
-  /// RAII lease of one cache; returns it to the pool on destruction.
-  class Lease {
-   public:
-    Lease(TableCachePool* pool, SpatialTableCache* cache)
-        : pool_(pool), cache_(cache) {}
-    Lease(Lease&& o) noexcept : pool_(o.pool_), cache_(o.cache_) {
-      o.pool_ = nullptr;
-      o.cache_ = nullptr;
-    }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    Lease& operator=(Lease&&) = delete;
-    ~Lease() {
-      if (pool_) pool_->release(cache_);
-    }
-    [[nodiscard]] SpatialTableCache& operator*() const { return *cache_; }
-    [[nodiscard]] SpatialTableCache* operator->() const { return cache_; }
-
-   private:
-    TableCachePool* pool_;
-    SpatialTableCache* cache_;
-  };
-
-  [[nodiscard]] Lease acquire() STKDE_EXCLUDES(mu_) {
-    // Chaos site: models a cache-allocation failure inside a worker task;
-    // fires before the lock, so no lease or pool state is half-taken.
-    STKDE_FAILPOINT("cache.acquire");
-    util::LockGuard lk(mu_);
-    if (free_.empty()) {
-      all_.push_back(std::make_unique<SpatialTableCache>(cfg_, hs_));
-      free_.push_back(all_.back().get());
-    }
-    SpatialTableCache* c = free_.back();
-    free_.pop_back();
-    return Lease{this, c};
-  }
-
-  /// Caches created so far (== peak concurrent leases).
-  [[nodiscard]] std::size_t cache_count() const STKDE_EXCLUDES(mu_) {
-    util::LockGuard lk(mu_);
-    return all_.size();
-  }
-
-  /// Aggregate counters over every cache; call only while no lease is live.
-  [[nodiscard]] std::int64_t lookups() const STKDE_EXCLUDES(mu_) {
-    util::LockGuard lk(mu_);
-    std::int64_t n = 0;
-    for (const auto& c : all_) n += c->lookups();
-    return n;
-  }
-  [[nodiscard]] std::int64_t fills() const STKDE_EXCLUDES(mu_) {
-    util::LockGuard lk(mu_);
-    std::int64_t n = 0;
-    for (const auto& c : all_) n += c->fills();
-    return n;
-  }
-
- private:
-  void release(SpatialTableCache* c) STKDE_EXCLUDES(mu_) {
-    util::LockGuard lk(mu_);
-    free_.push_back(c);
-  }
-
-  TableCacheConfig cfg_;
-  std::int32_t hs_;
-  mutable util::Mutex mu_;
-  /// Every cache ever created; leased caches stay here (ownership) while
-  /// their pointer is absent from free_.
-  std::vector<std::unique_ptr<SpatialTableCache>> all_ STKDE_GUARDED_BY(mu_);
-  std::vector<SpatialTableCache*> free_ STKDE_GUARDED_BY(mu_);
 };
 
 }  // namespace stkde::kernels

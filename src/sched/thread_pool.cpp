@@ -7,11 +7,20 @@
 
 namespace stkde::sched {
 
+namespace {
+
+// The pool whose worker loop runs on this thread, and the worker's index in
+// it; set once when the worker starts.
+thread_local const ThreadPool* tl_pool = nullptr;
+thread_local int tl_index = -1;
+
+}  // namespace
+
 ThreadPool::ThreadPool(int threads) {
   const int n = std::max(1, threads);
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, i] { worker_loop(i); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -96,12 +105,18 @@ void ThreadPool::parallel_for(std::int64_t n,
   if (loop.error) std::rethrow_exception(loop.error);
 }
 
+int ThreadPool::worker_index() const {
+  return tl_pool == this ? tl_index : -1;
+}
+
 std::uint64_t ThreadPool::cancelled() const {
   util::LockGuard lk(mu_);
   return cancelled_;
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::worker_loop(int index) {
+  tl_pool = this;
+  tl_index = index;
   for (;;) {
     std::function<void()> body;
     {

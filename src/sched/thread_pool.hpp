@@ -89,6 +89,13 @@ class ThreadPool {
 
   [[nodiscard]] int size() const { return static_cast<int>(workers_.size()); }
 
+  /// The calling thread's index among this pool's workers, in [0, size()),
+  /// or -1 on any other thread (the caller, another pool's worker). Fixed
+  /// for a worker's life, and no two workers share one, so a task may index
+  /// per-worker scratch with it: two tasks running at the same time never
+  /// get the same index, and each index is used by one thread only.
+  [[nodiscard]] int worker_index() const;
+
  private:
   struct Task {
     std::function<void()> fn;
@@ -99,7 +106,7 @@ class ThreadPool {
     return queues_[0].empty() && queues_[1].empty() && queues_[2].empty();
   }
 
-  void worker_loop() STKDE_EXCLUDES(mu_);
+  void worker_loop(int index) STKDE_EXCLUDES(mu_);
 
   std::vector<std::thread> workers_;  ///< written once in the constructor
   mutable util::Mutex mu_;

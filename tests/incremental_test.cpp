@@ -245,15 +245,15 @@ TEST(Incremental, ShardedIngestMatchesSerial) {
   }
 }
 
-// The tile engine's table caches belong to the streaming engine, so they
-// stay warm across batches: a re-added lattice-snapped batch computes no
-// table the caches already hold. On the voxel-center lattice every event
-// has the same sub-voxel offset, so each cache fills exactly one table in
-// its lifetime. Serially that makes the second add fill nothing. On the
-// pool, the dynamic schedule decides how many worker caches a pass leases
-// (a later pass may be the first to lease a second one), so the bound is
-// one fill per worker over any number of adds, where a fresh pool per
-// batch would fill at least once every add.
+// The tile engine's table caches belong to the streaming engine, one per
+// ingest worker, so they stay warm across batches: a re-added
+// lattice-snapped batch computes no table the caches already hold. On the
+// voxel-center lattice every event has the same sub-voxel offset, so each
+// cache fills exactly one table in its lifetime. Serially that makes the
+// second add fill nothing. On the pool, the dynamic schedule decides which
+// workers stamp in a pass (a later pass may be a worker's first), so the
+// bound is one fill per worker over any number of adds, where fresh caches
+// per batch would fill at least once every add.
 TEST(Incremental, TableCachesPersistAcrossBatches) {
   const auto t = make_tiny(2000, 3, 2);
   const PointSet batch = data::snap_to_lattice(t.points, t.domain, 1);

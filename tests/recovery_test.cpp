@@ -997,7 +997,7 @@ TEST_F(Chaos, CrashAtEverySiteRecoversSharded) {
       /*threads=*/2, kMatrixEventsSharded, /*batch=*/400,
       {
           "pool.submit",
-          "cache.acquire",
+          "stamp.task",
           "stream.ingest",
           "stream.publish",
           "wal.append",

@@ -2,14 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
+
+#include "sched/dag_scheduler.hpp"
 
 namespace stkde::sched {
 namespace {
@@ -236,6 +240,56 @@ TEST(ThreadPool, ParallelForWaitsForSiblingsThenRethrows) {
   EXPECT_NO_THROW(pool.wait_idle());
   pool.parallel_for(8, [&](std::int64_t) { ++ran; });
   EXPECT_EQ(ran.load(), 9);
+}
+
+// worker_index() is what per-worker scratch is indexed by: inside every
+// parallel_for body and DAG task it names a slot in [0, size()), each
+// worker keeps one slot, and two tasks running at the same time never share
+// one (each task holds its slot's in-use flag while it runs). Off the
+// workers — on the caller, on another pool's worker — it is -1.
+TEST(ThreadPool, WorkerIndexIsAPrivateSlotPerRunningTask) {
+  ThreadPool pool(4);
+  std::array<std::atomic<bool>, 4> in_use{};
+  std::atomic<int> out_of_range{0}, shared{0};
+  std::mutex mu;
+  std::map<std::thread::id, std::set<int>> slots_of_thread;
+  const auto task = [&] {
+    const int w = pool.worker_index();
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      slots_of_thread[std::this_thread::get_id()].insert(w);
+    }
+    if (w < 0 || w >= pool.size()) {
+      ++out_of_range;
+      return;
+    }
+    if (in_use[static_cast<std::size_t>(w)].exchange(true)) ++shared;
+    std::this_thread::yield();  // let the other workers overlap this task
+    in_use[static_cast<std::size_t>(w)].store(false);
+  };
+  pool.parallel_for(4000, [&](std::int64_t) { task(); });
+  DagScheduler dag;
+  for (int i = 0; i < 1000; ++i) dag.add_task(task, i % 7);
+  dag.run(pool);
+  EXPECT_EQ(out_of_range.load(), 0);
+  EXPECT_EQ(shared.load(), 0);
+  std::set<int> used;
+  for (const auto& [tid, slots] : slots_of_thread) {
+    EXPECT_EQ(slots.size(), 1u) << "a worker changed its slot";
+    used.insert(slots.begin(), slots.end());
+  }
+  EXPECT_EQ(used.size(), slots_of_thread.size()) << "two workers share a slot";
+
+  EXPECT_EQ(pool.worker_index(), -1);  // the caller
+  ThreadPool other(2);
+  std::atomic<int> foreign{0}, own_bad{0};
+  other.parallel_for(64, [&](std::int64_t) {
+    if (pool.worker_index() != -1) ++foreign;
+    const int w = other.worker_index();
+    if (w < 0 || w >= other.size()) ++own_bad;
+  });
+  EXPECT_EQ(foreign.load(), 0);
+  EXPECT_EQ(own_bad.load(), 0);
 }
 
 }  // namespace

@@ -250,20 +250,23 @@ TEST(TileCache, CappedBudgetDoesNotAliasLatticeResidueClasses) {
   constexpr std::int32_t Hs = 4;
   const std::uint64_t table_bytes = (2 * Hs + 1) * (2 * Hs + 1) * 4 + 64;
   kernels::SpatialTableCache cache(
-      kernels::TableCacheConfig{16, 32 * table_bytes}, Hs);
+      kernels::TableCacheConfig{16, 32 * table_bytes}, 3.0, Hs);
   ASSERT_EQ(cache.slot_count(), 32u) << "budget no longer caps below Q^2";
   const DomainSpec dom{0.0, 0.0, 0.0, 32.0, 32.0, 8.0, 1.0, 1.0};
   const VoxelMapper map(dom);
   const kernels::EpanechnikovKernel k;
+  int lookups = 0, fills = 0;
   for (int round = 0; round < 8; ++round)
     for (int i = 0; i < 4; ++i)
       for (int j = 0; j < 4; ++j) {
         const Point p{10.0 + (i + 0.125) / 4.0, 10.0 + (j + 0.125) / 4.0, 4.0};
-        (void)cache.lookup(k, map, p, 3.0, Hs, 1.0);
+        ++lookups;
+        fills += cache.lookup(k, map, p).filled ? 1 : 0;
       }
   // 16 keys spread over 32 slots: a couple of mix() collisions are fine,
   // residue-class aliasing (hit rate <= ~0.2 here) is not.
-  EXPECT_GT(cache.hit_rate(), 0.5);
+  const double hit_rate = 1.0 - static_cast<double>(fills) / lookups;
+  EXPECT_GT(hit_rate, 0.5);
 }
 
 TEST(TileCache, GenerousBudgetKeepsThePerfectLatticeIndex) {
@@ -271,20 +274,22 @@ TEST(TileCache, GenerousBudgetKeepsThePerfectLatticeIndex) {
   // is a perfect hash — distinct bins must never evict each other.
   constexpr std::int32_t Hs = 3;
   kernels::SpatialTableCache cache(
-      kernels::TableCacheConfig{8, std::uint64_t{8} << 20}, Hs);
+      kernels::TableCacheConfig{8, std::uint64_t{8} << 20}, 3.0, Hs);
   ASSERT_EQ(cache.slot_count(), 64u);
   const DomainSpec dom{0.0, 0.0, 0.0, 32.0, 32.0, 8.0, 1.0, 1.0};
   const VoxelMapper map(dom);
   const kernels::EpanechnikovKernel k;
+  int lookups = 0, fills = 0;
   for (int round = 0; round < 3; ++round)
     for (int i = 0; i < 8; ++i)
       for (int j = 0; j < 8; ++j) {
         const Point p{10.0 + (i + 0.5) / 8.0, 10.0 + (j + 0.5) / 8.0, 4.0};
-        (void)cache.lookup(k, map, p, 3.0, Hs, 1.0);
+        ++lookups;
+        fills += cache.lookup(k, map, p).filled ? 1 : 0;
       }
   // 64 bins, 3 rounds: exactly 64 fills, everything after is a hit.
-  EXPECT_EQ(cache.fills(), 64);
-  EXPECT_EQ(cache.lookups(), 3 * 64);
+  EXPECT_EQ(fills, 64);
+  EXPECT_EQ(lookups, 3 * 64);
 }
 
 TEST(TileCache, NegativeZeroOffsetsShareTheExactKey) {
@@ -294,7 +299,7 @@ TEST(TileCache, NegativeZeroOffsetsShareTheExactKey) {
   // tables, so they must share one slot — the old keys split them.
   constexpr std::int32_t Hs = 3;
   kernels::SpatialTableCache cache(
-      kernels::TableCacheConfig{0, std::uint64_t{1} << 20}, Hs);
+      kernels::TableCacheConfig{0, std::uint64_t{1} << 20}, 3.0, Hs);
   const DomainSpec dom{0.0, 0.0, 0.0, 32.0, 32.0, 8.0, 2.0, 1.0};
   const VoxelMapper map(dom);
   const kernels::EpanechnikovKernel k;
@@ -303,10 +308,11 @@ TEST(TileCache, NegativeZeroOffsetsShareTheExactKey) {
   const Point neg{-std::numeric_limits<double>::denorm_min(), 5.0, 4.0};
   const Point pos{0.0, 5.0, 4.0};
   ASSERT_EQ(map.voxel_of(neg).x, map.voxel_of(pos).x);
-  (void)cache.lookup(k, map, pos, 3.0, Hs, 1.0);
-  const auto second = cache.lookup(k, map, neg, 3.0, Hs, 1.0);
+  int fills = cache.lookup(k, map, pos).filled ? 1 : 0;
+  const auto second = cache.lookup(k, map, neg);
+  fills += second.filled ? 1 : 0;
   EXPECT_FALSE(second.filled) << "-0.0 offset missed the +0.0 table";
-  EXPECT_EQ(cache.fills(), 1);
+  EXPECT_EQ(fills, 1);
 }
 
 TEST(TileEngine, ExactCacheHitsOnLatticeData) {
@@ -319,11 +325,23 @@ TEST(TileEngine, ExactCacheHitsOnLatticeData) {
   EXPECT_LT(r.diag.table_fills, r.diag.table_lookups / 2);
 }
 
-TEST(TileEngine, DiagnosticsAreConsistent) {
+// Every strategy that stamps through the table cache reports the same
+// counts the same way, at two threads: a lookup per stamp, a fill per
+// computed table, and each computed table's (2Hs+1)^2 lanes once.
+class CachedStrategyTest : public ::testing::TestWithParam<Algorithm> {};
+
+TEST_P(CachedStrategyTest, DiagnosticsAreConsistent) {
   TinyInstance t = make_tiny(120, 4, 2);
-  const Result r = estimate(t.points, t.domain, t.params, Algorithm::kPBTile);
-  EXPECT_EQ(r.diag.algorithm, "PB-TILE");
-  EXPECT_GT(r.diag.subdomains, 0);
+  t.params.threads = 2;
+  t.params.tile.threads = 2;
+  const Result r = estimate(t.points, t.domain, t.params, GetParam());
+  EXPECT_EQ(r.diag.algorithm, to_string(GetParam()));
+  if (GetParam() != Algorithm::kPBSymDR) {
+    EXPECT_GT(r.diag.subdomains, 0);
+  }
+  const std::int64_t side =
+      2 * t.domain.spatial_bandwidth_voxels(t.params.hs) + 1;
+  EXPECT_EQ(r.diag.table_cells, r.diag.table_fills * side * side);
   EXPECT_GE(r.diag.table_cells, r.diag.span_cells);
   EXPECT_GE(r.diag.span_cells, r.diag.table_nonzero);
   EXPECT_GT(r.diag.table_nonzero, 0);
@@ -333,6 +351,19 @@ TEST(TileEngine, DiagnosticsAreConsistent) {
   EXPECT_GE(hr, 0.0);
   EXPECT_LE(hr, 1.0);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    SevenStrategies, CachedStrategyTest,
+    ::testing::Values(Algorithm::kPBTile, Algorithm::kPBSymDR,
+                      Algorithm::kPBSymDD, Algorithm::kPBSymPD,
+                      Algorithm::kPBSymPDSched, Algorithm::kPBSymPDRep,
+                      Algorithm::kPBSymPDSchedRep),
+    [](const ::testing::TestParamInfo<Algorithm>& info) {
+      std::string s = to_string(info.param);
+      for (auto& c : s)
+        if (c == '-') c = '_';
+      return s;
+    });
 
 }  // namespace
 }  // namespace stkde
