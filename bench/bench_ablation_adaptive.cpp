@@ -3,7 +3,8 @@
 // catalog. Adaptive work is sum_i Hs_i^2 Ht instead of n Hs^2 Ht — on
 // clustered data most points are in dense regions with *small* adaptive
 // bandwidths, so adaptive is often cheaper than a fixed bandwidth with the
-// same smoothing at the sparse tail.
+// same smoothing at the sparse tail. The adaptive runs go through the same
+// PB-SYM and PB-SYM-PD-SCHED code as the fixed one.
 
 #include <iostream>
 
@@ -41,11 +42,11 @@ int main(int argc, char** argv) {
     util::RunningStats hs;
     for (const double h : ap.hs) hs.add(h);
 
-    const Result ra = core::run_adaptive(inst.points, inst.domain, ap,
-                                         core::AdaptiveStrategy::kSequential);
+    const Result ra =
+        core::run_adaptive(inst.points, inst.domain, ap, Algorithm::kPBSym);
     ap.threads = env.real_threads;
     const Result rp = core::run_adaptive(inst.points, inst.domain, ap,
-                                         core::AdaptiveStrategy::kPDSched);
+                                         Algorithm::kPBSymPDSched);
     t.row()
         .cell(spec.name)
         .cell(inst.hs, 1)

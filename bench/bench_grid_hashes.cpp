@@ -5,9 +5,13 @@
 //
 // Instances: snapped PollenUS at perfbench batch-pollen's shape, continuous
 // Dengue on bench_streaming's 160x160x60 city grid, and continuous Flu at
-// batch-flu's shape; --smoke shrinks all three. Strategies: the eleven
-// point-based ones (VB and VB-DEC are voxel-based references too slow for
-// these grids), each at P = 2 and 4 (PB-TILE through tile.threads).
+// batch-flu's shape; then the Dengue events weighted (seeded integer
+// weights in [0, 4], a fifth of them zero) and with adaptive bandwidths
+// (kNN, k = 15, clamped to [hs/4, 2hs]). --smoke shrinks all of them.
+// Strategies: the eleven point-based ones (VB and VB-DEC are voxel-based
+// references too slow for these grids), each at P = 2 and 4 (PB-TILE
+// through tile.threads). The fixed-bandwidth lines come first, so their
+// order does not depend on the extensions.
 
 #include <cstdint>
 #include <cstring>
@@ -15,9 +19,13 @@
 #include <string>
 
 #include "common.hpp"
+#include "core/adaptive.hpp"
+#include "core/weighted.hpp"
 #include "data/datasets.hpp"
 #include "data/generator.hpp"
+#include "kernels/bandwidth.hpp"
 #include "util/env.hpp"
+#include "util/rng.hpp"
 
 using namespace stkde;
 
@@ -85,24 +93,54 @@ int main(int argc, char** argv) {
   };
 
   util::Table t({"instance", "strategy", "P", "fnv1a64"});
-  for (const HashInstance& inst : instances) {
-    PointSet pts = data::generate_dataset(inst.dataset, inst.dom, inst.n, 1);
-    if (inst.snap > 0) pts = data::snap_to_lattice(pts, inst.dom, inst.snap);
+  // One line per hashed strategy and P; \p run(algo, P) computes the grid.
+  auto hash_all = [&](const char* name, const auto& run) {
     for (const Algorithm algo : all_algorithms()) {
       if (algo == Algorithm::kVB || algo == Algorithm::kVBDec) continue;
       for (const int P : {2, 4}) {
-        Params p;
-        p.hs = inst.hs;
-        p.ht = inst.ht;
-        p.threads = P;
-        if (algo == Algorithm::kPBTile) p.tile.threads = P;
-        const std::string h = hex(fnv1a64(estimate(pts, inst.dom, p, algo).grid));
-        std::cout << inst.name << ' ' << to_string(algo) << " P=" << P << ' '
-                  << h << std::endl;
-        t.row().cell(inst.name).cell(to_string(algo)).cell(P).cell(h);
+        const std::string h = hex(fnv1a64(run(algo, P).grid));
+        std::cout << name << ' ' << to_string(algo) << " P=" << P << ' ' << h
+                  << std::endl;
+        t.row().cell(name).cell(to_string(algo)).cell(P).cell(h);
       }
     }
+  };
+  auto params_for = [](const HashInstance& inst, Algorithm algo, int P) {
+    Params p;
+    p.hs = inst.hs;
+    p.ht = inst.ht;
+    p.threads = P;
+    if (algo == Algorithm::kPBTile) p.tile.threads = P;
+    return p;
+  };
+  for (const HashInstance& inst : instances) {
+    PointSet pts = data::generate_dataset(inst.dataset, inst.dom, inst.n, 1);
+    if (inst.snap > 0) pts = data::snap_to_lattice(pts, inst.dom, inst.snap);
+    hash_all(inst.name, [&](Algorithm algo, int P) {
+      return estimate(pts, inst.dom, params_for(inst, algo, P), algo);
+    });
   }
+
+  const HashInstance& dengue = instances[1];
+  const PointSet pts =
+      data::generate_dataset(dengue.dataset, dengue.dom, dengue.n, 1);
+  util::Xoshiro256 rng(7);
+  std::vector<double> weights(pts.size());
+  for (double& w : weights) w = static_cast<double>(rng.below(5));
+  hash_all("dengue-weighted", [&](Algorithm algo, int P) {
+    return core::run_weighted(pts, weights, dengue.dom,
+                              params_for(dengue, algo, P), algo);
+  });
+  core::AdaptiveParams ap;
+  kernels::AdaptiveClamp clamp;
+  clamp.min_hs = dengue.hs / 4.0;
+  clamp.max_hs = dengue.hs * 2.0;
+  ap.hs = kernels::knn_adaptive_bandwidths(pts, 15, clamp);
+  ap.ht = dengue.ht;
+  hash_all("dengue-adaptive", [&](Algorithm algo, int P) {
+    ap.threads = P;
+    return core::run_adaptive(pts, dengue.dom, ap, algo);
+  });
   bench::JsonArtifact json("grid_hashes", env, cli);
   json.add_table("hashes", t);
   json.write();

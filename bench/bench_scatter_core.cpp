@@ -134,11 +134,10 @@ int main(int argc, char** argv) {
           s.Ht);
       const PointBins bins = tile_major_bins(points, s.map, plan.tiles, s.Hs,
                                              s.Ht, plan.bin_rule());
-      core::detail::StampScratches scratch(tile_cfg, params.hs, s.Hs, P);
+      core::detail::StampScratches scratch(tile_cfg, s.Hs, P);
       const core::detail::TileScatterStats st =
-          core::detail::scatter_tile_major(grid, whole, s.map, k, points,
-                                           params.ht, s.Hs, s.Ht, s.scale,
-                                           plan, bins, scratch, pool);
+          core::detail::scatter_tile_major(grid, whole, s, k, points, plan,
+                                           bins, scratch, pool);
       if (lanes != nullptr) *lanes = scratch.lanes();
       return st;
     };

@@ -55,8 +55,8 @@ int main(int argc, char** argv) {
   for (const double h : ap.hs) hstats.add(h);
   std::cout << "adaptive bandwidths (k=" << k << "): min=" << hstats.min()
             << " mean=" << hstats.mean() << " max=" << hstats.max() << "\n\n";
-  const Result ra = core::run_adaptive(cases, region, ap,
-                                       core::AdaptiveStrategy::kPDSched);
+  const Result ra =
+      core::run_adaptive(cases, region, ap, Algorithm::kPBSymPDSched);
 
   util::Table t({"estimate", "time (s)", "peak", "hotspots @99.5%",
                  "largest hotspot voxels"});

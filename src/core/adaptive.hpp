@@ -8,9 +8,13 @@
 /// sparse regions get wide ones. The estimate becomes
 ///   f(x,y,t) = 1/(n ht) * sum_i 1/h_i^2 ks((x-xi)/h_i,(y-yi)/h_i) kt(...)
 ///
-/// Everything in the paper's engineering ladder survives: the per-point
-/// invariant tables are simply sized by h_i, and the PD safety rule uses
-/// the *maximum* bandwidth (subdomains >= 2 max_i Hs_i wide).
+/// It is the paper's estimate with a per-point bandwidth h_i and scale
+/// c_i = 1/(n h_i^2 ht) (core::detail::RunSetup), so every Algorithm runs
+/// it through its own strategy: invariant tables are sized by h_i, the table
+/// cache keys on h_i as well as the sub-voxel offset, and everything that
+/// must cover every cylinder — the PD safety rule (subdomains >= 2 max_i
+/// Hs_i wide), DD's intersection bins, PB-TILE's tiles and halos — uses
+/// the *maximum* bandwidth.
 
 #include <vector>
 
@@ -33,18 +37,13 @@ struct AdaptiveParams {
   void validate(std::size_t n_points) const;
 };
 
-enum class AdaptiveStrategy {
-  kReference,  ///< voxel-based gold standard (tests only; Theta(V n))
-  kSequential, ///< PB-SYM with per-point invariant tables
-  kPDSched,    ///< point decomposition + load-aware DAG scheduling
-};
-
-[[nodiscard]] std::string to_string(AdaptiveStrategy s);
-
-/// Run adaptive-bandwidth STKDE. Work is Theta(V + sum_i Hs_i^2 Ht).
+/// Run adaptive-bandwidth STKDE with \p algorithm (PB-TILE walks with
+/// \p params.threads workers). Work is Theta(V + sum_i Hs_i^2 Ht). Throws
+/// std::invalid_argument on bad params or a bandwidth beyond INT32_MAX
+/// voxels.
 [[nodiscard]] Result run_adaptive(const PointSet& points,
                                   const DomainSpec& dom,
                                   const AdaptiveParams& params,
-                                  AdaptiveStrategy strategy);
+                                  Algorithm algorithm);
 
 }  // namespace stkde::core

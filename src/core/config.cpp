@@ -1,5 +1,6 @@
 #include "core/config.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "util/env.hpp"
@@ -59,8 +60,10 @@ bool is_parallel(Algorithm a) {
 }
 
 void Params::validate() const {
-  if (!(hs > 0.0)) throw std::invalid_argument("Params: hs must be > 0");
-  if (!(ht > 0.0)) throw std::invalid_argument("Params: ht must be > 0");
+  if (!(hs > 0.0) || !std::isfinite(hs))
+    throw std::invalid_argument("Params: hs must be finite and > 0");
+  if (!(ht > 0.0) || !std::isfinite(ht))
+    throw std::invalid_argument("Params: ht must be finite and > 0");
   if (threads < 0) throw std::invalid_argument("Params: threads must be >= 0");
   if (decomp.a < 1 || decomp.b < 1 || decomp.c < 1)
     throw std::invalid_argument("Params: decomposition parts must be >= 1");

@@ -43,9 +43,11 @@ enum class Algorithm {
 [[nodiscard]] bool is_parallel(Algorithm a);
 
 /// Tile-engine knobs (docs/SCATTER_CORE.md "The tile-major engine").
-/// tile_bytes/pad_rows/threads govern Algorithm::kPBTile; the streaming
-/// engine plans every ingest batch from the same tile_bytes and cache knobs
-/// (its thread count is StreamConfig::threads). The cache knobs
+/// tile_bytes/threads govern Algorithm::kPBTile (whose result grid always
+/// has 64-byte-padded T-rows, so every SIMD row walk starts cache-line
+/// aligned); the streaming engine plans every ingest batch from the same
+/// tile_bytes and cache knobs (its thread count is StreamConfig::threads).
+/// The cache knobs
 /// (table_quant, cache_bytes) configure every cached stamp: each pool
 /// worker of a PB-TILE, DR, DD or PD-family run (and of a streaming
 /// engine) gets one table cache of cache_bytes, so the caches of one run
@@ -67,10 +69,6 @@ struct TileParams {
 
   /// Byte budget of the table cache (sizes its direct-mapped slot array).
   std::uint64_t cache_bytes = std::uint64_t{8} << 20;
-
-  /// Allocate the result grid with 64-byte-padded T-rows so every SIMD row
-  /// walk starts cache-line aligned.
-  bool pad_rows = true;
 
   /// Worker threads for the tile walk: 1 = the serial engine (default),
   /// 0 = inherit Params::threads resolution, N > 1 = parallel waves on the

@@ -19,10 +19,8 @@ namespace stkde::core {
 // order, and spatial tables are served from the worker's offset-keyed
 // cache (Params::tile knobs) — a replicated point's table is filled once
 // per cache that sees its offset, not once per (point, subdomain) pair.
-Result run_pb_sym_dd(const PointSet& pts, const DomainSpec& dom,
+Result run_pb_sym_dd(const PointSet& pts, const detail::RunSetup& s,
                      const Params& p) {
-  p.validate();
-  const detail::RunSetup s(pts, dom, p);
   const int P = p.resolved_threads();
   Result res;
   res.diag.algorithm = to_string(Algorithm::kPBSymDD);
@@ -54,16 +52,16 @@ Result run_pb_sym_dd(const PointSet& pts, const DomainSpec& dom,
   util::ScopedPhase compute(res.phases, phase::kCompute);
   const std::int64_t nsub = dec.count();
   res.diag.task_seconds.assign(static_cast<std::size_t>(nsub), 0.0);
-  detail::StampScratches scratch(p.tile, p.hs, s.Hs, P);
+  detail::StampScratches scratch(p.tile, s.Hs, P);
   detail::with_kernel(p.kernel, [&](const auto& k) {
     pool.parallel_for(nsub, [&](std::int64_t v) {
       util::Timer task_timer;
       // Only the accumulation is clipped to the subdomain; the worker's
       // cache serves the full table and rebases it onto this cylinder, and
       // keeps the offsets seen so far for its next subdomain.
-      detail::stamp_bin(res.grid, dec.subdomain(v), s.map, k, pts,
-                        bins.bins[static_cast<std::size_t>(v)], p.ht, s.Hs,
-                        s.Ht, s.scale, scratch.of(&pool));
+      detail::stamp_bin(res.grid, dec.subdomain(v), s, k, pts,
+                        bins.bins[static_cast<std::size_t>(v)],
+                        scratch.of(&pool));
       res.diag.task_seconds[static_cast<std::size_t>(v)] =
           task_timer.seconds();
     });

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/detail/common.hpp"
 #include "core/result.hpp"
 #include "geom/voxel_mapper.hpp"
 #include "grid/dense_grid.hpp"
@@ -377,16 +378,15 @@ struct LaneStats {
   }
 };
 
-/// One worker's scratch for cached stamps: a spatial-table cache built for
-/// the run's bandwidth, the per-point temporal table, and the worker's
-/// counts. Scratch outlives tasks, so a worker keeps its tables warm from
-/// one task, wave or (for the streaming engine) batch to the next. Aligned
-/// to a cache line so neighbouring workers' scratch, written every stamp,
-/// never shares one.
+/// One worker's scratch for cached stamps: a spatial-table cache sized for
+/// the run's widest bandwidth, the per-point temporal table, and the
+/// worker's counts. Scratch outlives tasks, so a worker keeps its tables
+/// warm from one task, wave or (for the streaming engine) batch to the
+/// next. Aligned to a cache line so neighbouring workers' scratch, written
+/// every stamp, never shares one.
 struct alignas(util::kSimdAlign) StampScratch {
-  StampScratch(const kernels::TableCacheConfig& cfg, double hs,
-               std::int32_t Hs)
-      : cache(cfg, hs, Hs) {}
+  StampScratch(const kernels::TableCacheConfig& cfg, std::int32_t Hs)
+      : cache(cfg, Hs) {}
 
   kernels::SpatialTableCache cache;
   kernels::TemporalInvariant kt;
@@ -399,13 +399,12 @@ struct alignas(util::kSimdAlign) StampScratch {
 class StampScratches {
  public:
   /// \p workers slots (at least one) with caches configured by \p tile
-  /// for bandwidth \p hs (\p Hs voxels).
-  StampScratches(const TileParams& tile, double hs, std::int32_t Hs,
-                 int workers) {
+  /// and sized for the widest bandwidth \p Hs (voxels).
+  StampScratches(const TileParams& tile, std::int32_t Hs, int workers) {
     const kernels::TableCacheConfig cfg{tile.table_quant, tile.cache_bytes};
     const int n = std::max(1, workers);
     slots_.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) slots_.emplace_back(cfg, hs, Hs);
+    for (int i = 0; i < n; ++i) slots_.emplace_back(cfg, Hs);
   }
   // Tasks on the pool's workers hold its address.
   StampScratches(const StampScratches&) = delete;
@@ -434,46 +433,49 @@ class StampScratches {
   std::vector<StampScratch> slots_;
 };
 
-/// Cache-served scatter_sym: the spatial table comes from the scratch's
-/// cache (keyed on the point's sub-voxel offset, rebased onto this
+/// Cache-served scatter_sym of point pts[i] with its own bandwidth and
+/// scale from \p s: the spatial table comes from the scratch's cache
+/// (keyed on the point's sub-voxel offset and bandwidth, rebased onto this
 /// cylinder) instead of a per-point fill; the temporal table is recomputed
-/// as usual. Counts the stamp into \p s.lanes.
+/// as usual. Counts the stamp into \p scratch.lanes.
 ///
-/// Unlike scatter_sym, the run scale rides in the *temporal* table (it is
-/// per-point scratch) and cached spatial tables are filled unscaled — so a
-/// persistent cache stays warm across passes whose scale differs, notably
-/// the streaming engine's +scale adds alternating with -scale retirements.
+/// Unlike scatter_sym, the point's scale rides in the *temporal* table (it
+/// is per-point scratch) and cached spatial tables are filled unscaled — so
+/// a persistent cache stays warm across points and passes whose scale
+/// differs, notably weighted events and the streaming engine's +scale adds
+/// alternating with -scale retirements.
 template <kernels::SeparableKernel K, typename T>
 void scatter_cached(DenseGrid3<T>& grid, const Extent3& clip,
-                    const VoxelMapper& map, const K& k, const Point& p,
-                    double ht, std::int32_t Hs, std::int32_t Ht, double scale,
-                    StampScratch& s) {
-  const Extent3 e = clipped_cylinder(map, p, Hs, Ht, clip);
+                    const RunSetup& s, const K& k, const PointSet& pts,
+                    std::uint32_t i, StampScratch& scratch) {
+  const Point& p = pts[i];
+  const std::int32_t Hs = s.Hs_of(i);
+  const Extent3 e = clipped_cylinder(s.map, p, Hs, s.Ht, clip);
   if (e.empty()) return;
-  const auto lk = s.cache.lookup(k, map, p);
-  s.kt.compute(k, map, p, ht, Ht, scale);
-  scatter_tables(grid, e, lk.table, s.kt);
-  ++s.lanes.lookups;
+  const auto lk = scratch.cache.lookup(k, s.map, p, s.hs_of(i), Hs);
+  scratch.kt.compute(k, s.map, p, s.ht, s.Ht, s.scale_of(i));
+  scatter_tables(grid, e, lk.table, scratch.kt);
+  LaneStats& lanes = scratch.lanes;
+  ++lanes.lookups;
   if (!lk.filled) return;
-  ++s.lanes.fills;
-  s.lanes.cells += lk.table.cells();
-  s.lanes.span += lk.table.span_cells();
-  s.lanes.nonzero += lk.table.nonzero();
+  ++lanes.fills;
+  lanes.cells += lk.table.cells();
+  lanes.span += lk.table.span_cells();
+  lanes.nonzero += lk.table.nonzero();
 }
 
 /// The one cached stamp loop, under DR, DD, the PD family, PB-TILE's walks
 /// and so streaming ingest: stamps pts[i] for every i of \p bin (a bin
 /// slice, in scatter order) into \p target, clipped to \p clip, through
-/// the calling worker's scratch \p s.
+/// the calling worker's scratch.
 template <kernels::SeparableKernel K, typename T>
-void stamp_bin(DenseGrid3<T>& target, const Extent3& clip,
-               const VoxelMapper& map, const K& k, const PointSet& pts,
-               std::span<const std::uint32_t> bin, double ht, std::int32_t Hs,
-               std::int32_t Ht, double scale, StampScratch& s) {
+void stamp_bin(DenseGrid3<T>& target, const Extent3& clip, const RunSetup& s,
+               const K& k, const PointSet& pts,
+               std::span<const std::uint32_t> bin, StampScratch& scratch) {
   // Chaos site: a fault inside a worker task, before its first write.
   STKDE_FAILPOINT("stamp.task");
   for (const std::uint32_t i : bin)
-    scatter_cached(target, clip, map, k, pts[i], ht, Hs, Ht, scale, s);
+    scatter_cached(target, clip, s, k, pts, i, scratch);
 }
 
 /// Retained scalar reference (the pre-SIMD scatter_sym): double-precision

@@ -144,9 +144,8 @@ namespace tile_walk {
 /// voxel of a cylinder belongs to exactly one tile and the union of
 /// tile-clipped stamps equals the PB-SYM stamp.
 template <kernels::SeparableKernel K, typename T>
-void serial(DenseGrid3<T>& grid, const Extent3& clip, const VoxelMapper& map,
-            const K& k, const PointSet& pts, double ht, std::int32_t Hs,
-            std::int32_t Ht, double scale, const Decomposition& tiles,
+void serial(DenseGrid3<T>& grid, const Extent3& clip, const RunSetup& s,
+            const K& k, const PointSet& pts, const Decomposition& tiles,
             const PointBins& bins, StampScratch& scratch) {
   const std::int64_t nsub = tiles.count();
   for (std::int64_t v = 0; v < nsub; ++v) {
@@ -154,7 +153,7 @@ void serial(DenseGrid3<T>& grid, const Extent3& clip, const VoxelMapper& map,
     if (bin.empty()) continue;
     const Extent3 tclip = tiles.subdomain(v).intersect(clip);
     if (tclip.empty()) continue;
-    stamp_bin(grid, tclip, map, k, pts, bin, ht, Hs, Ht, scale, scratch);
+    stamp_bin(grid, tclip, s, k, pts, bin, scratch);
   }
 }
 
@@ -163,11 +162,9 @@ void serial(DenseGrid3<T>& grid, const Extent3& clip, const VoxelMapper& map,
 /// ThreadPool::parallel_for whose dynamic schedule assigns tiles to workers.
 template <kernels::SeparableKernel K, typename T>
 TileScatterStats parallel(DenseGrid3<T>& grid, const Extent3& clip,
-                          const VoxelMapper& map, const K& k,
-                          const PointSet& pts, double ht, std::int32_t Hs,
-                          std::int32_t Ht, double scale, const TilePlan& plan,
-                          const PointBins& bins, StampScratches& scratch,
-                          sched::ThreadPool& pool) {
+                          const RunSetup& s, const K& k, const PointSet& pts,
+                          const TilePlan& plan, const PointBins& bins,
+                          StampScratches& scratch, sched::ThreadPool& pool) {
   TileScatterStats stats;
   const Decomposition& tiles = plan.tiles;
   const auto nsub = static_cast<std::size_t>(tiles.count());
@@ -177,14 +174,14 @@ TileScatterStats parallel(DenseGrid3<T>& grid, const Extent3& clip,
   // buffers), through the running worker's scratch.
   auto scatter_bin = [&](DenseGrid3<T>& target, const Extent3& tclip,
                          std::size_t v, std::size_t lo, std::size_t hi) {
-    stamp_bin(target, tclip, map, k, pts,
+    stamp_bin(target, tclip, s, k, pts,
               std::span<const std::uint32_t>(bins.bins[v]).subspan(lo, hi - lo),
-              ht, Hs, Ht, scale, scratch.of(&pool));
+              scratch.of(&pool));
   };
   std::vector<Extent3> halos(nsub);
   auto halo_of = [&](std::size_t v) {
     return tiles.subdomain(static_cast<std::int64_t>(v))
-        .expanded(Hs, Ht)
+        .expanded(s.Hs, s.Ht)
         .intersect(clip);
   };
 
@@ -254,15 +251,15 @@ TileScatterStats parallel(DenseGrid3<T>& grid, const Extent3& clip,
     // tiles scatter into private buffers (dependency-free), then fold back
     // via accumulate_buffer, then the buffers are freed before the next
     // wave starts — so peak halo memory is one wave's worth, not the whole
-    // tiling's. Stride rule: same-wave tiles are >= (s-1) tiles apart, so
-    // their halo boxes (tile ± Hs) are disjoint when
-    // (s - 1) * min_tile_width >= 2Hs.
+    // tiling's. Stride rule: same-wave tiles are >= (sx-1) tiles apart, so
+    // their halo boxes (tile ± Hs, the widest bandwidth) are disjoint when
+    // (sx - 1) * min_tile_width >= 2Hs (likewise sy).
     std::vector<std::size_t> work;
     std::vector<DenseGrid3<T>> buffers(nsub);
     const std::int32_t sx =
-        2 + (2 * Hs - 1) / std::max(1, tiles.min_width_x());
+        2 + (2 * s.Hs - 1) / std::max(1, tiles.min_width_x());
     const std::int32_t sy =
-        2 + (2 * Hs - 1) / std::max(1, tiles.min_width_y());
+        2 + (2 * s.Hs - 1) / std::max(1, tiles.min_width_y());
     for (std::int32_t wx = 0; wx < sx; ++wx)
       for (std::int32_t wy = 0; wy < sy; ++wy) {
         work.clear();
@@ -301,27 +298,26 @@ TileScatterStats parallel(DenseGrid3<T>& grid, const Extent3& clip,
 }  // namespace tile_walk
 
 /// The tile engine's one entry point (PB-TILE and every streaming ingest
-/// batch): scatter \p pts into \p grid under \p plan from
-/// plan_tile_schedule. \p bins must be binned onto plan.tiles by
-/// tile_major_bins with plan.bin_rule(). Spatial tables and table counts
-/// live in \p scratch, which the caller owns — one slot per worker of
-/// \p pool, and slot 0 serves the serial walk: a caller that keeps it
+/// batch): scatter \p pts, with the bandwidths and scales of \p s, into
+/// \p grid under \p plan from plan_tile_schedule (planned for s.Hs, the
+/// widest bandwidth). \p bins must be binned onto plan.tiles by
+/// tile_major_bins with plan.bin_rule() and s.Hs. Spatial tables and table
+/// counts live in \p scratch, which the caller owns — one slot per worker
+/// of \p pool, and slot 0 serves the serial walk: a caller that keeps it
 /// across passes keeps its tables warm. \p pool runs the parallel
 /// schedules and may be null for TileSchedule::kSerial.
 template <kernels::SeparableKernel K, typename T>
 TileScatterStats scatter_tile_major(DenseGrid3<T>& grid, const Extent3& clip,
-                                    const VoxelMapper& map, const K& k,
-                                    const PointSet& pts, double ht,
-                                    std::int32_t Hs, std::int32_t Ht,
-                                    double scale, const TilePlan& plan,
+                                    const RunSetup& s, const K& k,
+                                    const PointSet& pts, const TilePlan& plan,
                                     const PointBins& bins,
                                     StampScratches& scratch,
                                     sched::ThreadPool* pool) {
   if (plan.schedule != TileSchedule::kSerial)
-    return tile_walk::parallel(grid, clip, map, k, pts, ht, Hs, Ht, scale,
-                               plan, bins, scratch, *pool);
-  tile_walk::serial(grid, clip, map, k, pts, ht, Hs, Ht, scale, plan.tiles,
-                    bins, scratch.of(nullptr));
+    return tile_walk::parallel(grid, clip, s, k, pts, plan, bins, scratch,
+                               *pool);
+  tile_walk::serial(grid, clip, s, k, pts, plan.tiles, bins,
+                    scratch.of(nullptr));
   return {};
 }
 

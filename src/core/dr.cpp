@@ -24,10 +24,8 @@ namespace stkde::core {
 // stamps go through the shared cached stamp — spatial tables come from the
 // worker's cache like DD/PD's instead of a fill per point. Chunk i always
 // lands in replica i, so the worker that runs it does not matter.
-Result run_pb_sym_dr(const PointSet& pts, const DomainSpec& dom,
+Result run_pb_sym_dr(const PointSet& pts, const detail::RunSetup& s,
                      const Params& p) {
-  p.validate();
-  const detail::RunSetup s(pts, dom, p);
   const int P = p.resolved_threads();
   Result res;
   res.diag.algorithm = to_string(Algorithm::kPBSymDR);
@@ -66,14 +64,14 @@ Result run_pb_sym_dr(const PointSet& pts, const DomainSpec& dom,
     const std::size_t n = idx.size();
     const std::size_t chunk = (n + static_cast<std::size_t>(P) - 1) /
                               static_cast<std::size_t>(P);
-    detail::StampScratches scratch(p.tile, p.hs, s.Hs, P);
+    detail::StampScratches scratch(p.tile, s.Hs, P);
     detail::with_kernel(p.kernel, [&](const auto& k) {
       pool.parallel_for(P, [&](std::int64_t id) {
         const std::size_t lo = std::min(n, static_cast<std::size_t>(id) * chunk);
-        detail::stamp_bin(replicas[static_cast<std::size_t>(id)], whole, s.map,
-                          k, pts,
+        detail::stamp_bin(replicas[static_cast<std::size_t>(id)], whole, s, k,
+                          pts,
                           std::span(idx).subspan(lo, std::min(n - lo, chunk)),
-                          p.ht, s.Hs, s.Ht, s.scale, scratch.of(&pool));
+                          scratch.of(&pool));
       });
     });
     scratch.lanes().store(res.diag);

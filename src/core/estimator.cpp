@@ -4,38 +4,48 @@
 
 namespace stkde {
 
+namespace core {
+
+Result run(Algorithm a, const PointSet& pts, const detail::RunSetup& s,
+           const Params& p) {
+  p.validate();
+  switch (a) {
+    case Algorithm::kVB:
+      return run_vb(pts, s, p);
+    case Algorithm::kVBDec:
+      return run_vb_dec(pts, s, p);
+    case Algorithm::kPB:
+      return run_pb(pts, s, p);
+    case Algorithm::kPBDisk:
+      return run_pb_disk(pts, s, p);
+    case Algorithm::kPBBar:
+      return run_pb_bar(pts, s, p);
+    case Algorithm::kPBSym:
+      return run_pb_sym(pts, s, p);
+    case Algorithm::kPBTile:
+      return run_pb_tile(pts, s, p);
+    case Algorithm::kPBSymDR:
+      return run_pb_sym_dr(pts, s, p);
+    case Algorithm::kPBSymDD:
+      return run_pb_sym_dd(pts, s, p);
+    case Algorithm::kPBSymPD:
+      return run_pb_sym_pd(pts, s, p);
+    case Algorithm::kPBSymPDSched:
+      return run_pb_sym_pd_sched(pts, s, p);
+    case Algorithm::kPBSymPDRep:
+      return run_pb_sym_pd_rep(pts, s, p, false);
+    case Algorithm::kPBSymPDSchedRep:
+      return run_pb_sym_pd_rep(pts, s, p, true);
+  }
+  throw std::invalid_argument("unknown algorithm");
+}
+
+}  // namespace core
+
 Result Estimator::run(const PointSet& points, const DomainSpec& dom) const {
   dom.validate();
-  using core::run_pb;
-  switch (algorithm_) {
-    case Algorithm::kVB:
-      return core::run_vb(points, dom, params_);
-    case Algorithm::kVBDec:
-      return core::run_vb_dec(points, dom, params_);
-    case Algorithm::kPB:
-      return core::run_pb(points, dom, params_);
-    case Algorithm::kPBDisk:
-      return core::run_pb_disk(points, dom, params_);
-    case Algorithm::kPBBar:
-      return core::run_pb_bar(points, dom, params_);
-    case Algorithm::kPBSym:
-      return core::run_pb_sym(points, dom, params_);
-    case Algorithm::kPBTile:
-      return core::run_pb_tile(points, dom, params_);
-    case Algorithm::kPBSymDR:
-      return core::run_pb_sym_dr(points, dom, params_);
-    case Algorithm::kPBSymDD:
-      return core::run_pb_sym_dd(points, dom, params_);
-    case Algorithm::kPBSymPD:
-      return core::run_pb_sym_pd(points, dom, params_);
-    case Algorithm::kPBSymPDSched:
-      return core::run_pb_sym_pd_sched(points, dom, params_);
-    case Algorithm::kPBSymPDRep:
-      return core::run_pb_sym_pd_rep(points, dom, params_, false);
-    case Algorithm::kPBSymPDSchedRep:
-      return core::run_pb_sym_pd_rep(points, dom, params_, true);
-  }
-  throw std::invalid_argument("Estimator: unknown algorithm");
+  return core::run(algorithm_, points,
+                   core::detail::RunSetup(points, dom, params_), params_);
 }
 
 Result estimate(const PointSet& points, const DomainSpec& dom,

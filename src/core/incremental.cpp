@@ -14,14 +14,6 @@
 
 namespace stkde::core {
 
-namespace {
-
-double resolve_bucket_width(const StreamConfig& cfg, const Params& p) {
-  return cfg.bucket_width > 0.0 ? cfg.bucket_width : p.ht;
-}
-
-}  // namespace
-
 IncrementalEstimator::IncrementalEstimator(const DomainSpec& dom,
                                            const Params& params)
     : IncrementalEstimator(dom, params, StreamConfig{}) {}
@@ -35,16 +27,10 @@ IncrementalEstimator::IncrementalEstimator(const DomainSpec& dom,
       map_(dom),
       Hs_(dom.spatial_bandwidth_voxels(params.hs)),
       Ht_(dom.temporal_bandwidth_voxels(params.ht)),
-      bucket_w_(resolve_bucket_width(cfg, params)),
-      scratch_(std::make_unique<detail::StampScratches>(
-          params.tile, params.hs, Hs_, cfg.threads)),
+      scratch_(std::make_unique<detail::StampScratches>(params.tile, Hs_,
+                                                        cfg.threads)),
       last_cutoff_(-std::numeric_limits<double>::infinity()) {
   params_.validate();
-  if (!(bucket_w_ > 0.0))
-    throw std::invalid_argument("StreamConfig: bucket_width must be > 0");
-  if (!(cfg_.admission_margin >= 0.0))
-    throw std::invalid_argument(
-        "StreamConfig: admission_margin must be >= 0");
   raw_.allocate(map_.dims());
   raw_.fill(0.0f);
   if (!cfg_.durability.dir.empty())
@@ -74,11 +60,11 @@ void IncrementalEstimator::apply(const PointSet& batch, double sign) {
   const PointBins bins =
       tile_major_bins(batch, map_, plan.tiles, Hs_, Ht_, plan.bin_rule());
   // Raw scale: 1/(hs^2 ht); the 1/n factor is applied on read.
-  const double scale = sign * base_scale();
+  const detail::RunSetup s(dom_, params_, sign * base_scale());
   detail::with_kernel(params_.kernel, [&](const auto& k) {
     const detail::TileScatterStats st = detail::scatter_tile_major(
-        raw_, Extent3::whole(map_.dims()), map_, k, batch, params_.ht, Hs_,
-        Ht_, scale, plan, bins, *scratch_, pool_.get());
+        raw_, Extent3::whole(map_.dims()), s, k, batch, plan, bins, *scratch_,
+        pool_.get());
     stats_.replica_tasks += static_cast<std::uint64_t>(st.replica_tasks);
   });
   const detail::LaneStats lanes = scratch_->lanes();
@@ -97,7 +83,7 @@ void IncrementalEstimator::mark_dirty(const PointSet& batch) {
 // Time-bucketed retirement index
 
 std::int64_t IncrementalEstimator::bucket_key(double t) const {
-  return static_cast<std::int64_t>(std::floor(t / bucket_w_));
+  return static_cast<std::int64_t>(std::floor(t / params_.ht));
 }
 
 void IncrementalEstimator::index_add(const Point& p) {
@@ -175,8 +161,9 @@ PointSet IncrementalEstimator::admit(const PointSet& batch,
                                      bool count_stale_as_dead) {
   PointSet ok;
   ok.reserve(batch.size());
-  const double ms = cfg_.admission_margin * params_.hs;
-  const double mt = cfg_.admission_margin * params_.ht;
+  // One bandwidth: events farther off the box cannot touch any voxel.
+  const double ms = params_.hs;
+  const double mt = params_.ht;
   const double xlo = dom_.x0 - ms, xhi = dom_.x0 + dom_.gx + ms;
   const double ylo = dom_.y0 - ms, yhi = dom_.y0 + dom_.gy + ms;
   const double tlo = dom_.t0 - mt, thi = dom_.t0 + dom_.gt + mt;

@@ -11,8 +11,8 @@
 /// read, so adds/removes don't rescale the whole grid.
 ///
 /// Streaming engine (docs/STREAMING.md):
-///  - Live events are tracked in a *time-bucketed index* (buckets of
-///    StreamConfig::bucket_width time units), so advance_window() retires
+///  - Live events are tracked in a *time-bucketed index* (buckets of ht
+///    time units, one kernel support), so advance_window() retires
 ///    every event with t < cutoff regardless of arrival order — late
 ///    (out-of-order) arrivals are retired when their *timestamp* expires,
 ///    not when they happen to reach the front of an arrival queue — and
@@ -64,10 +64,11 @@
 /// any applied one.
 ///
 /// Admission (StreamConfig::admission): incoming events with non-finite
-/// coordinates, positions farther than admission_margin × bandwidth
-/// outside the domain box, or timestamps older than the current window
-/// cutoff are never scattered; they land in a bounded quarantine ring
-/// with per-reason counters instead of corrupting the density.
+/// coordinates, positions farther than one bandwidth (hs spatially, ht
+/// temporally) outside the domain box — which cannot touch any voxel — or
+/// timestamps older than the current window cutoff are never scattered;
+/// they land in a bounded quarantine ring with per-reason counters instead
+/// of corrupting the density.
 
 #include <atomic>
 #include <cstdint>
@@ -98,33 +99,23 @@ class StampScratches;
 
 namespace stkde::core {
 
-/// Streaming-engine knobs. The defaults give the single-threaded engine
-/// with retirement bucketed at the temporal bandwidth. The tiling and the
-/// hotspot split are not knobs: every batch is planned by the tile engine
-/// from Params::tile and threads.
+/// Streaming-engine knobs. The defaults give the single-threaded engine.
+/// The tiling, the hotspot split, the retirement bucket (ht) and the
+/// admission margin (one bandwidth) are not knobs: every batch is planned
+/// by the tile engine from Params::tile and threads.
 struct StreamConfig {
   /// Ingest worker threads; <= 1 runs scatter in the calling thread.
   int threads = 1;
-
-  /// Retirement bucket width in time units; <= 0 uses the temporal
-  /// bandwidth ht (events within one kernel support share a bucket).
-  double bucket_width = 0.0;
 
   /// Rebuild the grid from the live set after this many retired/removed
   /// events (bounds +/- cancellation drift). 0 disables checkpoints.
   std::uint64_t checkpoint_retires = std::uint64_t{1} << 20;
 
   /// Validate events at ingest and quarantine rejects (non-finite,
-  /// out-of-domain beyond the margin, older than the window cutoff)
-  /// instead of scattering them. false restores the legacy behavior
-  /// (only advance_window's own cutoff filter applies).
+  /// farther than one bandwidth off the domain, older than the window
+  /// cutoff) instead of scattering them. false restores the legacy
+  /// behavior (only advance_window's own cutoff filter applies).
   bool admission = true;
-
-  /// Out-of-domain tolerance in bandwidth multiples (hs spatially, ht
-  /// temporally). Events beyond it cannot touch any grid voxel, so the
-  /// default of one full bandwidth rejects exactly the zero-contribution
-  /// region.
-  double admission_margin = 1.0;
 
   /// Capacity of the quarantine ring; the oldest entry is evicted (and
   /// counted in stats().quarantine_dropped) when full.
@@ -165,7 +156,7 @@ struct StreamStats {
 /// Why an incoming event was refused at admission.
 enum class QuarantineReason : std::uint8_t {
   kNonFinite = 0,    ///< NaN or Inf coordinate
-  kOutOfDomain = 1,  ///< beyond admission_margin × bandwidth off the box
+  kOutOfDomain = 1,  ///< beyond one bandwidth off the box
   kStale = 2,        ///< timestamp older than the current window cutoff
 };
 
@@ -458,7 +449,6 @@ class IncrementalEstimator {
   VoxelMapper map_;
   std::int32_t Hs_;
   std::int32_t Ht_;
-  double bucket_w_;
   /// The tile engine's per-worker stamp scratch (one slot per ingest
   /// worker). Its caches persist across batches, so recorded-resolution
   /// feeds stay warm (fresh caches per batch would refill, and reallocate,

@@ -6,9 +6,8 @@ namespace stkde::core {
 
 // PB-BAR (§3.2): the spatially-invariant temporal table Kt is computed once
 // per point and reused across every (X, Y) column of the cylinder.
-Result run_pb_bar(const PointSet& pts, const DomainSpec& dom, const Params& p) {
-  p.validate();
-  const detail::RunSetup s(pts, dom, p);
+Result run_pb_bar(const PointSet& pts, const detail::RunSetup& s,
+                  const Params& p) {
   Result res;
   res.diag.algorithm = to_string(Algorithm::kPBBar);
 
@@ -22,9 +21,9 @@ Result run_pb_bar(const PointSet& pts, const DomainSpec& dom, const Params& p) {
   const Extent3 whole = Extent3::whole(s.map.dims());
   detail::with_kernel(p.kernel, [&](const auto& k) {
     kernels::TemporalInvariant kt;
-    for (const Point& pt : pts)
-      detail::scatter_bar(res.grid, whole, s.map, k, pt, p.hs, p.ht, s.Hs,
-                          s.Ht, s.scale, kt);
+    for (std::size_t i = 0; i < pts.size(); ++i)
+      detail::scatter_bar(res.grid, whole, s.map, k, pts[i], s.hs_of(i), s.ht,
+                          s.Hs_of(i), s.Ht, s.scale_of(i), kt);
   });
   return res;
 }

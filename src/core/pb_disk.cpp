@@ -6,10 +6,8 @@ namespace stkde::core {
 
 // PB-DISK (§3.2): the temporally-invariant spatial table Ks is computed once
 // per point and reused across all 2Ht+1 planes of the cylinder.
-Result run_pb_disk(const PointSet& pts, const DomainSpec& dom,
+Result run_pb_disk(const PointSet& pts, const detail::RunSetup& s,
                    const Params& p) {
-  p.validate();
-  const detail::RunSetup s(pts, dom, p);
   Result res;
   res.diag.algorithm = to_string(Algorithm::kPBDisk);
 
@@ -23,9 +21,9 @@ Result run_pb_disk(const PointSet& pts, const DomainSpec& dom,
   const Extent3 whole = Extent3::whole(s.map.dims());
   detail::with_kernel(p.kernel, [&](const auto& k) {
     kernels::SpatialInvariant ks;
-    for (const Point& pt : pts)
-      if (detail::scatter_disk(res.grid, whole, s.map, k, pt, p.hs, p.ht, s.Hs,
-                               s.Ht, s.scale, ks)) {
+    for (std::size_t i = 0; i < pts.size(); ++i)
+      if (detail::scatter_disk(res.grid, whole, s.map, k, pts[i], s.hs_of(i),
+                               s.ht, s.Hs_of(i), s.Ht, s.scale_of(i), ks)) {
         res.diag.table_cells += ks.cells();
         res.diag.span_cells += ks.span_cells();
         res.diag.table_nonzero += ks.nonzero();

@@ -7,9 +7,8 @@ namespace stkde::core {
 // Algorithm 3 (PB-SYM): both invariants are hoisted, so each voxel of the
 // cylinder costs one multiply-add — the paper's best sequential algorithm
 // (up to 6.97x over PB on PollenUS Hr-Hb, Table 3).
-Result run_pb_sym(const PointSet& pts, const DomainSpec& dom, const Params& p) {
-  p.validate();
-  const detail::RunSetup s(pts, dom, p);
+Result run_pb_sym(const PointSet& pts, const detail::RunSetup& s,
+                  const Params& p) {
   Result res;
   res.diag.algorithm = to_string(Algorithm::kPBSym);
 
@@ -24,9 +23,9 @@ Result run_pb_sym(const PointSet& pts, const DomainSpec& dom, const Params& p) {
   detail::with_kernel(p.kernel, [&](const auto& k) {
     kernels::SpatialInvariant ks;
     kernels::TemporalInvariant kt;
-    for (const Point& pt : pts)
-      if (detail::scatter_sym(res.grid, whole, s.map, k, pt, p.hs, p.ht, s.Hs,
-                              s.Ht, s.scale, ks, kt)) {
+    for (std::size_t i = 0; i < pts.size(); ++i)
+      if (detail::scatter_sym(res.grid, whole, s.map, k, pts[i], s.hs_of(i),
+                              s.ht, s.Hs_of(i), s.Ht, s.scale_of(i), ks, kt)) {
         res.diag.table_cells += ks.cells();
         res.diag.span_cells += ks.span_cells();
         res.diag.table_nonzero += ks.nonzero();

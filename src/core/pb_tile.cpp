@@ -21,10 +21,8 @@ namespace stkde::core {
 // the finest PD-safe tiling, or owner-computes halo buffers for narrow
 // tilings); the choice is recorded in Result::diag.tile_schedule. The
 // streaming engine ingests every batch through the same entry point.
-Result run_pb_tile(const PointSet& pts, const DomainSpec& dom,
+Result run_pb_tile(const PointSet& pts, const detail::RunSetup& s,
                    const Params& p) {
-  p.validate();
-  const detail::RunSetup s(pts, dom, p);
   const int P =
       p.tile.threads == 0 ? p.resolved_threads() : std::max(1, p.tile.threads);
   Result res;
@@ -33,8 +31,7 @@ Result run_pb_tile(const PointSet& pts, const DomainSpec& dom,
   sched::ThreadPool pool(P);
   {
     util::ScopedPhase init(res.phases, phase::kInit);
-    res.grid.allocate(Extent3::whole(s.map.dims()),
-                      p.tile.pad_rows ? RowPad::kCacheLine : RowPad::kNone);
+    res.grid.allocate(Extent3::whole(s.map.dims()), RowPad::kCacheLine);
     res.grid.fill_parallel(0.0f, pool);
   }
 
@@ -56,11 +53,11 @@ Result run_pb_tile(const PointSet& pts, const DomainSpec& dom,
   res.diag.tile_threads = plan.threads;
 
   util::ScopedPhase compute(res.phases, phase::kCompute);
-  detail::StampScratches scratch(p.tile, p.hs, s.Hs, P);
+  detail::StampScratches scratch(p.tile, s.Hs, P);
   detail::with_kernel(p.kernel, [&](const auto& k) {
     const detail::TileScatterStats st = detail::scatter_tile_major(
-        res.grid, Extent3::whole(s.map.dims()), s.map, k, pts, p.ht, s.Hs,
-        s.Ht, s.scale, plan, bins, scratch, &pool);
+        res.grid, Extent3::whole(s.map.dims()), s, k, pts, plan, bins, scratch,
+        &pool);
     res.diag.num_colors = static_cast<std::int32_t>(st.waves);
     res.diag.extra_bytes = st.halo_bytes;
   });

@@ -20,10 +20,8 @@ namespace stkde::core {
 // worker walks its subdomain in scatter order, and spatial tables come from
 // the worker's offset-keyed cache (Params::tile knobs) instead of a fresh
 // fill per point.
-Result run_pb_sym_pd(const PointSet& pts, const DomainSpec& dom,
+Result run_pb_sym_pd(const PointSet& pts, const detail::RunSetup& s,
                      const Params& p) {
-  p.validate();
-  const detail::RunSetup s(pts, dom, p);
   const int P = p.resolved_threads();
   Result res;
   res.diag.algorithm = to_string(Algorithm::kPBSymPD);
@@ -69,15 +67,15 @@ Result run_pb_sym_pd(const PointSet& pts, const DomainSpec& dom,
         .push_back(v);
   // Each worker's cache stays warm from one subdomain, and one parity set,
   // to the next.
-  detail::StampScratches scratch(p.tile, p.hs, s.Hs, P);
+  detail::StampScratches scratch(p.tile, s.Hs, P);
   detail::with_kernel(p.kernel, [&](const auto& k) {
     for (const auto& set : sets)
       pool.parallel_for(
           static_cast<std::int64_t>(set.size()), [&](std::int64_t i) {
             util::Timer task_timer;
             const auto v = static_cast<std::size_t>(set[static_cast<std::size_t>(i)]);
-            detail::stamp_bin(res.grid, whole, s.map, k, pts, bins.bins[v],
-                              p.ht, s.Hs, s.Ht, s.scale, scratch.of(&pool));
+            detail::stamp_bin(res.grid, whole, s, k, pts, bins.bins[v],
+                              scratch.of(&pool));
             res.diag.task_seconds[v] = task_timer.seconds();
           });
   });

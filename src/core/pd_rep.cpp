@@ -22,10 +22,8 @@ namespace stkde::core {
 // the subdomain's position in the colored DAG. Replication is planned until
 // the critical path drops below T1/(2P), trading DR-style init+reduce
 // overhead for parallelism exactly where the chain is too long.
-Result run_pb_sym_pd_rep(const PointSet& pts, const DomainSpec& dom,
+Result run_pb_sym_pd_rep(const PointSet& pts, const detail::RunSetup& s,
                          const Params& p, bool use_sched_coloring) {
-  p.validate();
-  const detail::RunSetup s(pts, dom, p);
   const int P = p.resolved_threads();
   Result res;
   res.diag.algorithm = to_string(use_sched_coloring
@@ -112,7 +110,7 @@ Result run_pb_sym_pd_rep(const PointSet& pts, const DomainSpec& dom,
       static_cast<std::size_t>(nsub));
   // Tile treatment: every scatter task (direct or replica) stamps through
   // its worker's table cache, which persists for the whole DAG run.
-  detail::StampScratches scratch(p.tile, p.hs, s.Hs, P);
+  detail::StampScratches scratch(p.tile, s.Hs, P);
   detail::with_kernel(p.kernel, [&](const auto& k) {
     sched::DagScheduler dag;
     // write_task[v]: the task that mutates the shared grid for subdomain v
@@ -121,8 +119,7 @@ Result run_pb_sym_pd_rep(const PointSet& pts, const DomainSpec& dom,
 
     auto scatter_points = [&](DenseGrid3<float>& target, const Extent3& clip,
                               std::span<const std::uint32_t> idxs) {
-      detail::stamp_bin(target, clip, s.map, k, pts, idxs, p.ht, s.Hs, s.Ht,
-                        s.scale, scratch.of(&pool));
+      detail::stamp_bin(target, clip, s, k, pts, idxs, scratch.of(&pool));
     };
 
     for (std::int64_t v = 0; v < nsub; ++v) {

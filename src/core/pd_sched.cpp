@@ -16,10 +16,8 @@ namespace stkde::core {
 // the resulting DAG with a dependency-counting list scheduler whose ready
 // priority is the task load. Heavy subdomains are colored (and hence
 // started) first, shortening the effective critical path.
-Result run_pb_sym_pd_sched(const PointSet& pts, const DomainSpec& dom,
+Result run_pb_sym_pd_sched(const PointSet& pts, const detail::RunSetup& s,
                            const Params& p) {
-  p.validate();
-  const detail::RunSetup s(pts, dom, p);
   const int P = p.resolved_threads();
   Result res;
   res.diag.algorithm = to_string(Algorithm::kPBSymPDSched);
@@ -62,15 +60,15 @@ Result run_pb_sym_pd_sched(const PointSet& pts, const DomainSpec& dom,
   res.diag.task_seconds.assign(static_cast<std::size_t>(nsub), 0.0);
   // Tile treatment: every task stamps through its worker's table cache,
   // which persists for the run.
-  detail::StampScratches scratch(p.tile, p.hs, s.Hs, P);
+  detail::StampScratches scratch(p.tile, s.Hs, P);
   detail::with_kernel(p.kernel, [&](const auto& k) {
     sched::DagScheduler dag;
     for (std::int64_t v = 0; v < nsub; ++v) {
       dag.add_task(
           [&, v] {
-            detail::stamp_bin(res.grid, whole, s.map, k, pts,
-                              bins.bins[static_cast<std::size_t>(v)], p.ht,
-                              s.Hs, s.Ht, s.scale, scratch.of(&pool));
+            detail::stamp_bin(res.grid, whole, s, k, pts,
+                              bins.bins[static_cast<std::size_t>(v)],
+                              scratch.of(&pool));
           },
           loads[static_cast<std::size_t>(v)]);
     }

@@ -7,10 +7,11 @@ namespace stkde::core {
 // kernel product of those within both bandwidths. The kernels return 0
 // outside their support, which subsumes the pseudocode's explicit
 // "sqrt(...) < hs and |ti - t| <= ht" test. Per-voxel sums accumulate in
-// double and are stored once, like the reference implementation.
-Result run_vb(const PointSet& pts, const DomainSpec& dom, const Params& p) {
-  p.validate();
-  const detail::RunSetup s(pts, dom, p);
+// double and are stored once, like the reference implementation. Each pair
+// uses its point's own bandwidth h_i and factor f_i, and the sum takes the
+// run scale once (c_i = scale * f_i): VB evaluates the estimate directly,
+// independent of the invariant tables and caches it checks.
+Result run_vb(const PointSet& pts, const detail::RunSetup& s, const Params& p) {
   Result res;
   res.diag.algorithm = to_string(Algorithm::kVB);
 
@@ -22,7 +23,7 @@ Result run_vb(const PointSet& pts, const DomainSpec& dom, const Params& p) {
 
   util::ScopedPhase compute(res.phases, phase::kCompute);
   const GridDims d = s.map.dims();
-  const double inv_hs = 1.0 / p.hs, inv_ht = 1.0 / p.ht;
+  const double inv_ht = 1.0 / s.ht;
   detail::with_kernel(p.kernel, [&](const auto& k) {
     for (std::int32_t X = 0; X < d.gx; ++X) {
       const double x = s.map.x_of(X);
@@ -32,13 +33,15 @@ Result run_vb(const PointSet& pts, const DomainSpec& dom, const Params& p) {
         for (std::int32_t T = 0; T < d.gt; ++T) {
           const double t = s.map.t_of(T);
           double sum = 0.0;
-          for (const Point& pt : pts) {
+          for (std::size_t i = 0; i < pts.size(); ++i) {
+            const Point& pt = pts[i];
+            const double inv_hs = 1.0 / s.hs_of(i);
             const double u = (x - pt.x) * inv_hs;
             const double v = (y - pt.y) * inv_hs;
             const double ks = k.spatial(u, v);
             if (ks == 0.0) continue;
             const double w = (t - pt.t) * inv_ht;
-            sum += ks * k.temporal(w);
+            sum += ks * k.temporal(w) * s.factor_of(i);
           }
           row[T] = static_cast<float>(sum * s.scale);
         }

@@ -4,12 +4,12 @@
 
 namespace stkde::core {
 
-// VB-DEC (§6.2): partition the points into blocks the size of the bandwidth
-// so each voxel only computes distances against points of its 3x3x3 block
-// neighborhood — the only points that "have a chance to have an impact".
-Result run_vb_dec(const PointSet& pts, const DomainSpec& dom, const Params& p) {
-  p.validate();
-  const detail::RunSetup s(pts, dom, p);
+// VB-DEC (§6.2): partition the points into blocks the size of the (widest)
+// bandwidth so each voxel only computes distances against points of its
+// 3x3x3 block neighborhood — the only points that "have a chance to have an
+// impact". Pairs are evaluated like VB's, with each point's h_i and f_i.
+Result run_vb_dec(const PointSet& pts, const detail::RunSetup& s,
+                  const Params& p) {
   Result res;
   res.diag.algorithm = to_string(Algorithm::kVBDec);
 
@@ -31,7 +31,7 @@ Result run_vb_dec(const PointSet& pts, const DomainSpec& dom, const Params& p) {
   }
 
   util::ScopedPhase compute(res.phases, phase::kCompute);
-  const double inv_hs = 1.0 / p.hs, inv_ht = 1.0 / p.ht;
+  const double inv_ht = 1.0 / s.ht;
   detail::with_kernel(p.kernel, [&](const auto& k) {
     std::vector<std::uint32_t> candidates;
     for (std::int32_t a = 0; a < blocks.a(); ++a) {
@@ -66,12 +66,13 @@ Result run_vb_dec(const PointSet& pts, const DomainSpec& dom, const Params& p) {
                 double sum = 0.0;
                 for (const std::uint32_t idx : candidates) {
                   const Point& pt = pts[idx];
+                  const double inv_hs = 1.0 / s.hs_of(idx);
                   const double u = (x - pt.x) * inv_hs;
                   const double v = (y - pt.y) * inv_hs;
                   const double ks = k.spatial(u, v);
                   if (ks == 0.0) continue;
                   const double w = (t - pt.t) * inv_ht;
-                  sum += ks * k.temporal(w);
+                  sum += ks * k.temporal(w) * s.factor_of(idx);
                 }
                 row[T] = static_cast<float>(sum * s.scale);
               }

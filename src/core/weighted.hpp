@@ -7,6 +7,10 @@
 /// once with weight w_i instead of scattering w_i duplicate points:
 ///   f(x,y,t) = 1/(W hs^2 ht) * sum_i w_i ks(...) kt(...),  W = sum_i w_i.
 /// Identical to duplicating each event w_i times, at 1/w_i the cost.
+///
+/// It is the paper's estimate with a per-point scale c_i = w_i/(W hs^2 ht)
+/// (core::detail::RunSetup), so every Algorithm runs it through the same
+/// strategy code, table cache and stamp as the unweighted estimate.
 
 #include <vector>
 
@@ -17,22 +21,13 @@
 
 namespace stkde::core {
 
-enum class WeightedStrategy {
-  kReference,  ///< voxel-based (tests only)
-  kSequential, ///< PB-SYM with per-point weighted scale
-  kPDSched,    ///< point decomposition + DAG scheduling, loads = weights
-};
-
-[[nodiscard]] std::string to_string(WeightedStrategy s);
-
-/// Run weighted STKDE. \p weights must be non-negative, one per point;
-/// zero-weight events contribute nothing (but still count toward nothing —
-/// W uses the actual weight sum). Throws std::invalid_argument on size
-/// mismatch or negative/non-finite weights, and produces an all-zero grid
-/// when W == 0.
+/// Run weighted STKDE with \p algorithm. \p weights must be non-negative,
+/// one per point; zero-weight events are dropped before the strategy runs.
+/// Throws std::invalid_argument on size mismatch or negative/non-finite
+/// weights, and produces an all-zero grid when W == 0.
 [[nodiscard]] Result run_weighted(const PointSet& points,
                                   const std::vector<double>& weights,
                                   const DomainSpec& dom, const Params& params,
-                                  WeightedStrategy strategy);
+                                  Algorithm algorithm);
 
 }  // namespace stkde::core

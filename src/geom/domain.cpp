@@ -1,6 +1,7 @@
 #include "geom/domain.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace stkde {
@@ -10,6 +11,16 @@ std::int32_t ceil_div_positive(double extent, double res) {
   const auto v = static_cast<std::int32_t>(std::ceil(extent / res));
   return v > 0 ? v : 1;  // degenerate (zero-extent) domains get one voxel
 }
+
+/// ceil(h / res) voxels, at least one. A count beyond INT32_MAX (or NaN)
+/// throws: the cast would wrap it to a tiny kernel.
+std::int32_t bandwidth_voxels(double h, double res) {
+  const double v = std::ceil(h / res);
+  if (!(v <= static_cast<double>(std::numeric_limits<std::int32_t>::max())))
+    throw std::invalid_argument(
+        "DomainSpec: bandwidth must be finite and at most INT32_MAX voxels");
+  return v > 0.0 ? static_cast<std::int32_t>(v) : 1;
+}
 }  // namespace
 
 GridDims DomainSpec::dims() const {
@@ -18,13 +29,11 @@ GridDims DomainSpec::dims() const {
 }
 
 std::int32_t DomainSpec::spatial_bandwidth_voxels(double hs) const {
-  const auto v = static_cast<std::int32_t>(std::ceil(hs / sres));
-  return v > 0 ? v : 1;
+  return bandwidth_voxels(hs, sres);
 }
 
 std::int32_t DomainSpec::temporal_bandwidth_voxels(double ht) const {
-  const auto v = static_cast<std::int32_t>(std::ceil(ht / tres));
-  return v > 0 ? v : 1;
+  return bandwidth_voxels(ht, tres);
 }
 
 DomainSpec DomainSpec::covering(const BoundingBox3& box, double sres,

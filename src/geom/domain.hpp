@@ -41,7 +41,8 @@ struct DomainSpec {
   /// Grid dimensions per the paper's ceil convention.
   [[nodiscard]] GridDims dims() const;
 
-  /// Bandwidths in voxels: Hs = ceil(hs/sres), Ht = ceil(ht/tres).
+  /// Bandwidths in voxels: Hs = ceil(hs/sres), Ht = ceil(ht/tres), at
+  /// least 1. Throws std::invalid_argument beyond INT32_MAX voxels.
   [[nodiscard]] std::int32_t spatial_bandwidth_voxels(double hs) const;
   [[nodiscard]] std::int32_t temporal_bandwidth_voxels(double ht) const;
 

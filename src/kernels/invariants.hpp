@@ -177,9 +177,10 @@ class SpatialInvariant {
 
 /// Dense (2Ht+1) float table of temporal kernel values around a point.
 /// \p scale (default 1) is folded into every entry — the cached scatter
-/// path (scatter_cached) carries the run scale here instead of in the
-/// shared spatial table, so cached tables stay valid across passes whose
-/// scale differs (the streaming engine's +add / -retire alternation).
+/// path (scatter_cached) carries the point's scale here instead of in the
+/// shared spatial table, so cached tables stay valid across points and
+/// passes whose scale differs (weighted events, the streaming engine's
+/// +add / -retire alternation).
 class TemporalInvariant {
  public:
   template <SeparableKernel K>

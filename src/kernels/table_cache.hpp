@@ -29,11 +29,14 @@
 /// colliding miss overwrites), so memory is bounded by the byte budget and
 /// lookups are O(1) with zero allocator traffic after warm-up.
 ///
-/// A cache is built for one bandwidth (hs, Hs) and fills its tables
-/// unscaled, so its entries never go stale. It is single-owner scratch
-/// (lookup() rebases a stored table and returns a reference to it): the
-/// parallel drivers give each pool worker its own cache inside a
-/// core::detail::StampScratch.
+/// A cache fills its tables unscaled, for the bandwidth each lookup names,
+/// so its entries never go stale: a slot hits only when its stored hs bit
+/// pattern matches as well as its offset key (adaptive runs give points
+/// different bandwidths). The slot index is the offset hash alone, so a
+/// fixed-bandwidth run fills and hits as if hs were not keyed. It is
+/// single-owner scratch (lookup() rebases a stored table and returns a
+/// reference to it): the parallel strategies give each pool worker its own
+/// cache inside a core::detail::StampScratch.
 
 #include <bit>
 #include <cstdint>
@@ -74,10 +77,10 @@ class SpatialTableCache {
     bool filled;
   };
 
-  /// Tables are filled for bandwidth \p hs (domain units, \p Hs voxels) at
-  /// scale 1. \p Hs also sizes the slots: each holds one (2Hs+1)² table.
-  SpatialTableCache(const TableCacheConfig& cfg, double hs, std::int32_t Hs)
-      : quant_(cfg.quant), hs_(hs), Hs_(Hs) {
+  /// \p Hs, the widest bandwidth any lookup names (voxels), sizes the
+  /// slots: each holds one (2Hs+1)² table.
+  SpatialTableCache(const TableCacheConfig& cfg, std::int32_t Hs)
+      : quant_(cfg.quant) {
     const std::uint64_t side = 2 * static_cast<std::uint64_t>(Hs) + 1;
     const std::uint64_t table_bytes = side * side * sizeof(float) + 64;
     std::uint64_t slots = cfg.max_bytes / (table_bytes == 0 ? 1 : table_bytes);
@@ -92,14 +95,16 @@ class SpatialTableCache {
     slots_.resize(static_cast<std::size_t>(slots));
   }
 
-  /// The unscaled spatial table of \p p, from its slot or filled into it.
+  /// The unscaled spatial table of \p p for bandwidth \p hs (\p Hs
+  /// voxels), from its slot or filled into it.
   template <SeparableKernel K>
-  Lookup lookup(const K& k, const VoxelMapper& map, const Point& p) {
+  Lookup lookup(const K& k, const VoxelMapper& map, const Point& p, double hs,
+                std::int32_t Hs) {
     const DomainSpec& d = map.spec();
     const Voxel c = map.voxel_of(p);
     const double fx = (p.x - d.x0) / d.sres - c.x;
     const double fy = (p.y - d.y0) / d.sres - c.y;
-    const std::int32_t x_lo = c.x - Hs_, y_lo = c.y - Hs_;
+    const std::uint64_t kh = normalize_key(hs);
 
     Slot* s = nullptr;
     std::uint64_t kx = 0, ky = 0;
@@ -127,14 +132,15 @@ class SpatialTableCache {
       s->used = false;
     }
 
-    const bool hit = s->used && s->kx == kx && s->ky == ky;
+    const bool hit = s->used && s->kx == kx && s->ky == ky && s->kh == kh;
     if (!hit) {
-      s->table.compute_offset(k, fx, fy, d.sres, hs_, Hs_, 1.0);
+      s->table.compute_offset(k, fx, fy, d.sres, hs, Hs, 1.0);
       s->kx = kx;
       s->ky = ky;
+      s->kh = kh;
       s->used = true;
     }
-    s->table.rebase(x_lo, y_lo);
+    s->table.rebase(c.x - Hs, c.y - Hs);
     return Lookup{s->table, !hit};
   }
 
@@ -144,7 +150,7 @@ class SpatialTableCache {
  private:
   struct Slot {
     SpatialInvariant table;
-    std::uint64_t kx = 0, ky = 0;
+    std::uint64_t kx = 0, ky = 0, kh = 0;
     bool used = false;
   };
 
@@ -176,8 +182,6 @@ class SpatialTableCache {
   }
 
   std::int32_t quant_;
-  double hs_;
-  std::int32_t Hs_;
   std::vector<Slot> slots_;
   Slot scratch_;  ///< exact-fill path for out-of-lattice offsets
 };

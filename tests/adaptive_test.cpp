@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/estimator.hpp"
+#include "data/generator.hpp"
 #include "helpers.hpp"
 #include "kernels/bandwidth.hpp"
 
@@ -23,44 +24,63 @@ AdaptiveParams adaptive_params(const PointSet& pts, int k, double ht) {
   return p;
 }
 
-TEST(Adaptive, SequentialMatchesReference) {
-  const auto t = make_tiny(120, 3, 2);
-  const AdaptiveParams p = adaptive_params(t.points, 4, 2.0);
-  const Result ref =
-      run_adaptive(t.points, t.domain, p, AdaptiveStrategy::kReference);
-  const Result sym =
-      run_adaptive(t.points, t.domain, p, AdaptiveStrategy::kSequential);
-  EXPECT_LE(sym.grid.max_abs_diff(ref.grid), grid_tolerance(ref.grid));
+std::string algorithm_name(const ::testing::TestParamInfo<Algorithm>& info) {
+  std::string s = to_string(info.param);
+  for (auto& c : s)
+    if (c == '-') c = '_';
+  return s;
 }
 
-TEST(Adaptive, PdSchedMatchesReference) {
+std::vector<Algorithm> all_but_vb() {
+  std::vector<Algorithm> out;
+  for (const Algorithm a : all_algorithms())
+    if (a != Algorithm::kVB) out.push_back(a);
+  return out;
+}
+
+class AdaptiveAlgorithm : public ::testing::TestWithParam<Algorithm> {};
+
+TEST_P(AdaptiveAlgorithm, MatchesReference) {
+  // kNN bandwidths clamped to [1.5, 6], against VB — on continuous points,
+  // and on the same points snapped to half-voxel offsets, where cached
+  // tables share offset keys and only the bandwidth key tells them apart.
   const auto t = make_tiny(150, 3, 2);
-  AdaptiveParams p = adaptive_params(t.points, 4, 2.0);
-  for (const auto d : {DecompRequest{2, 2, 2}, DecompRequest{4, 4, 4}}) {
-    p.decomp = d;
-    const Result ref =
-        run_adaptive(t.points, t.domain, p, AdaptiveStrategy::kReference);
-    const Result par =
-        run_adaptive(t.points, t.domain, p, AdaptiveStrategy::kPDSched);
-    EXPECT_LE(par.grid.max_abs_diff(ref.grid), grid_tolerance(ref.grid))
-        << d.to_string();
+  for (const PointSet& pts :
+       {t.points, data::snap_to_lattice(t.points, t.domain, 2)}) {
+    AdaptiveParams p = adaptive_params(pts, 4, 2.0);
+    for (const auto d : {DecompRequest{2, 2, 2}, DecompRequest{4, 4, 4}}) {
+      p.decomp = d;
+      const Result ref = run_adaptive(pts, t.domain, p, Algorithm::kVB);
+      const Result r = run_adaptive(pts, t.domain, p, GetParam());
+      EXPECT_LE(r.grid.max_abs_diff(ref.grid), grid_tolerance(ref.grid))
+          << d.to_string();
+    }
   }
 }
 
+INSTANTIATE_TEST_SUITE_P(AllButVB, AdaptiveAlgorithm,
+                         ::testing::ValuesIn(all_but_vb()), algorithm_name);
+
 TEST(Adaptive, UniformBandwidthsReduceToFixedAlgorithm) {
-  // With every h_i equal, adaptive == the fixed-bandwidth estimate.
+  // With every h_i equal, adaptive == the fixed-bandwidth estimate, for
+  // every algorithm.
   const auto t = make_tiny(100, 3, 2);
   AdaptiveParams p;
   p.hs.assign(t.points.size(), 3.0);
   p.ht = 2.0;
-  const Result adaptive =
-      run_adaptive(t.points, t.domain, p, AdaptiveStrategy::kSequential);
+  p.threads = 2;
   Params fixed;
   fixed.hs = 3.0;
   fixed.ht = 2.0;
-  const Result classic = estimate(t.points, t.domain, fixed, Algorithm::kPBSym);
-  EXPECT_LE(adaptive.grid.max_abs_diff(classic.grid),
-            grid_tolerance(classic.grid));
+  fixed.threads = 2;
+  fixed.tile.threads = 0;
+  for (const Algorithm a : all_algorithms()) {
+    const Result adaptive = run_adaptive(t.points, t.domain, p, a);
+    const Result classic = estimate(t.points, t.domain, fixed, a);
+    EXPECT_LE(adaptive.grid.max_abs_diff(classic.grid),
+              grid_tolerance(classic.grid))
+        << to_string(a);
+  }
 }
 
 TEST(Adaptive, MassIsConservedForInteriorPoints) {
@@ -76,7 +96,7 @@ TEST(Adaptive, MassIsConservedForInteriorPoints) {
   p.hs = kernels::knn_adaptive_bandwidths(pts, 3, clamp);
   p.ht = 8.0;
   const Result r =
-      run_adaptive(pts, dom, p, AdaptiveStrategy::kSequential);
+      run_adaptive(pts, dom, p, Algorithm::kPBSym);
   EXPECT_NEAR(r.grid.sum(), 1.0, 0.06);
 }
 
@@ -95,8 +115,7 @@ TEST(Adaptive, HotspotSharperThanFixed) {
   clamp.max_hs = 12.0;
   ap.hs = kernels::knn_adaptive_bandwidths(pts, 4, clamp);
   ap.ht = 6.0;
-  const Result adaptive =
-      run_adaptive(pts, dom, ap, AdaptiveStrategy::kSequential);
+  const Result adaptive = run_adaptive(pts, dom, ap, Algorithm::kPBSym);
   double mean_h = 0.0;
   for (const double h : ap.hs) mean_h += h;
   mean_h /= static_cast<double>(ap.hs.size());
@@ -113,17 +132,17 @@ TEST(Adaptive, ValidatesInput) {
   p.hs.assign(5, 1.0);  // wrong size
   p.ht = 1.0;
   EXPECT_THROW(
-      run_adaptive(t.points, t.domain, p, AdaptiveStrategy::kSequential),
+      run_adaptive(t.points, t.domain, p, Algorithm::kPBSym),
       std::invalid_argument);
   p.hs.assign(t.points.size(), 1.0);
   p.hs[3] = -2.0;
   EXPECT_THROW(
-      run_adaptive(t.points, t.domain, p, AdaptiveStrategy::kSequential),
+      run_adaptive(t.points, t.domain, p, Algorithm::kPBSym),
       std::invalid_argument);
   p.hs[3] = 1.0;
   p.ht = 0.0;
   EXPECT_THROW(
-      run_adaptive(t.points, t.domain, p, AdaptiveStrategy::kSequential),
+      run_adaptive(t.points, t.domain, p, Algorithm::kPBSym),
       std::invalid_argument);
 }
 
@@ -132,7 +151,7 @@ TEST(Adaptive, EmptyPointSet) {
   AdaptiveParams p;
   p.ht = 1.0;
   const Result r =
-      run_adaptive(PointSet{}, t.domain, p, AdaptiveStrategy::kSequential);
+      run_adaptive(PointSet{}, t.domain, p, Algorithm::kPBSym);
   EXPECT_DOUBLE_EQ(r.grid.sum(), 0.0);
 }
 
@@ -141,17 +160,11 @@ TEST(Adaptive, DiagnosticsFilled) {
   AdaptiveParams p = adaptive_params(t.points, 3, 2.0);
   p.decomp = {3, 3, 3};
   const Result r =
-      run_adaptive(t.points, t.domain, p, AdaptiveStrategy::kPDSched);
-  EXPECT_EQ(r.diag.algorithm, "A-STKDE-PD-SCHED");
+      run_adaptive(t.points, t.domain, p, Algorithm::kPBSymPDSched);
+  EXPECT_EQ(r.diag.algorithm, "PB-SYM-PD-SCHED");
   EXPECT_GT(r.diag.subdomains, 0);
   EXPECT_GE(r.diag.num_colors, 1);
   EXPECT_GT(r.phases.seconds(phase::kCompute), 0.0);
-}
-
-TEST(Adaptive, StrategyNames) {
-  EXPECT_EQ(to_string(AdaptiveStrategy::kReference), "A-STKDE-VB");
-  EXPECT_EQ(to_string(AdaptiveStrategy::kSequential), "A-STKDE-SYM");
-  EXPECT_EQ(to_string(AdaptiveStrategy::kPDSched), "A-STKDE-PD-SCHED");
 }
 
 }  // namespace

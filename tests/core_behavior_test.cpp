@@ -176,7 +176,7 @@ TEST(ThreadCounts, MoreThreadsThanTasksIsFine) {
   t.params.decomp = {2, 1, 1};
   const Result r =
       estimate(t.points, t.domain, t.params, Algorithm::kPBSymPDSched);
-  const Result ref = core::run_vb(t.points, t.domain, t.params);
+  const Result ref = estimate(t.points, t.domain, t.params, Algorithm::kVB);
   EXPECT_LE(r.grid.max_abs_diff(ref.grid), testing::grid_tolerance(ref.grid));
 }
 

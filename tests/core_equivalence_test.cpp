@@ -54,7 +54,9 @@ const DensityGrid& reference_grid(const std::string& kernel, std::int32_t Hs,
   if (it == cache.end()) {
     TinyInstance t = make_tiny(150, Hs, Ht);
     t.params.kernel = kernels::kernel_by_name(kernel);
-    it = cache.emplace(key.str(), core::run_vb(t.points, t.domain, t.params))
+    it = cache
+             .emplace(key.str(),
+                      estimate(t.points, t.domain, t.params, Algorithm::kVB))
              .first;
   }
   return it->second.grid;
@@ -340,7 +342,7 @@ TEST_P(EdgeCaseTest, EmptyPointSetGivesZeroGrid) {
 TEST_P(EdgeCaseTest, SinglePointMatchesVB) {
   TinyInstance t = make_tiny(1, 4, 3);
   t.points = {Point{12.3, 10.7, 8.2}};
-  const Result ref = core::run_vb(t.points, t.domain, t.params);
+  const Result ref = estimate(t.points, t.domain, t.params, Algorithm::kVB);
   const Result r = estimate(t.points, t.domain, t.params, GetParam());
   EXPECT_LE(r.grid.max_abs_diff(ref.grid), grid_tolerance(ref.grid));
 }
@@ -348,7 +350,7 @@ TEST_P(EdgeCaseTest, SinglePointMatchesVB) {
 TEST_P(EdgeCaseTest, DuplicatePointsMatchVB) {
   TinyInstance t = make_tiny(1, 3, 2);
   t.points = PointSet(20, Point{11.0, 9.0, 7.0});  // 20 identical events
-  const Result ref = core::run_vb(t.points, t.domain, t.params);
+  const Result ref = estimate(t.points, t.domain, t.params, Algorithm::kVB);
   const Result r = estimate(t.points, t.domain, t.params, GetParam());
   EXPECT_LE(r.grid.max_abs_diff(ref.grid), grid_tolerance(ref.grid));
 }
@@ -360,7 +362,7 @@ TEST_P(EdgeCaseTest, PointsOutsideDomainMatchVB) {
   t.points = {Point{-1.5, 10.0, 8.0}, Point{25.0, -2.0, 8.0},
               Point{12.0, 21.0, 17.0}, Point{12.0, 10.0, -0.7},
               Point{100.0, 100.0, 100.0}};  // far outside: contributes nothing
-  const Result ref = core::run_vb(t.points, t.domain, t.params);
+  const Result ref = estimate(t.points, t.domain, t.params, Algorithm::kVB);
   const Result r = estimate(t.points, t.domain, t.params, GetParam());
   EXPECT_LE(r.grid.max_abs_diff(ref.grid), grid_tolerance(ref.grid));
 }
@@ -369,7 +371,7 @@ TEST_P(EdgeCaseTest, PointsOnDomainBordersMatchVB) {
   TinyInstance t = make_tiny(1, 3, 2);
   t.points = {Point{0.0, 0.0, 0.0}, Point{24.0, 20.0, 16.0},
               Point{0.0, 20.0, 8.0}, Point{24.0, 0.0, 16.0}};
-  const Result ref = core::run_vb(t.points, t.domain, t.params);
+  const Result ref = estimate(t.points, t.domain, t.params, Algorithm::kVB);
   const Result r = estimate(t.points, t.domain, t.params, GetParam());
   EXPECT_LE(r.grid.max_abs_diff(ref.grid), grid_tolerance(ref.grid));
 }
@@ -378,7 +380,7 @@ TEST_P(EdgeCaseTest, BandwidthLargerThanDomainMatchesVB) {
   TinyInstance t = make_tiny(30, 1, 1);
   t.params.hs = 40.0;  // cylinder covers the whole grid
   t.params.ht = 20.0;
-  const Result ref = core::run_vb(t.points, t.domain, t.params);
+  const Result ref = estimate(t.points, t.domain, t.params, Algorithm::kVB);
   const Result r = estimate(t.points, t.domain, t.params, GetParam());
   EXPECT_LE(r.grid.max_abs_diff(ref.grid), grid_tolerance(ref.grid));
 }

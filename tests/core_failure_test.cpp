@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "core/adaptive.hpp"
 #include "helpers.hpp"
 
 namespace stkde {
@@ -81,6 +84,29 @@ TEST(InvalidInput, NonPositiveBandwidthsRejected) {
   t.params.ht = -1.0;
   EXPECT_THROW(estimate(t.points, t.domain, t.params, Algorithm::kPBSym),
                std::invalid_argument);
+}
+
+TEST(InvalidInput, OverflowingBandwidthsRejected) {
+  // A bandwidth of more than INT32_MAX voxels used to wrap to Hs = 1 (a
+  // kernel truncated to one voxel), and +inf validated into an all-zero
+  // grid; both must throw, per-point adaptive bandwidths included.
+  const DomainSpec dom{0.0, 0.0, 0.0, 20.0, 20.0, 10.0, 1.0, 1.0};
+  const PointSet pts = {Point{10.0, 10.0, 5.0}, Point{4.0, 12.0, 3.0}};
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Algorithm a : {Algorithm::kVB, Algorithm::kPBSym}) {
+    Params p;
+    p.hs = 3e9;
+    EXPECT_THROW(estimate(pts, dom, p, a), std::invalid_argument);
+    p.hs = inf;
+    EXPECT_THROW(estimate(pts, dom, p, a), std::invalid_argument);
+    p.hs = 2.0;
+    p.ht = inf;
+    EXPECT_THROW(estimate(pts, dom, p, a), std::invalid_argument);
+    core::AdaptiveParams ap;
+    ap.hs = {2.0, 3e9};
+    ap.ht = 2.0;
+    EXPECT_THROW(core::run_adaptive(pts, dom, ap, a), std::invalid_argument);
+  }
 }
 
 TEST(InvalidInput, BadDecompositionRejected) {

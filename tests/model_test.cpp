@@ -129,7 +129,7 @@ TEST(Advisor, BestConfigIsRunnable) {
   t.params.threads = 2;
   const Advice a = advise(test_profile(), t.points, t.domain, t.params,
                           {2, 4});
-  const Result ref = core::run_vb(t.points, t.domain, t.params);
+  const Result ref = estimate(t.points, t.domain, t.params, Algorithm::kVB);
   const Result r = estimate(t.points, t.domain, a.best_config(),
                             a.best().algorithm);
   EXPECT_LE(r.grid.max_abs_diff(ref.grid),

@@ -151,24 +151,20 @@ TEST(TileOrder, BinsAreMortonSortedAndCoverAllPoints) {
 TEST(TileEngine, TileOrderMatchesArrivalOrder) {
   // The tentpole equivalence: PB-TILE (exact cache) is a pure reordering of
   // PB-SYM's per-point scatter, so the grids agree to float-reorder noise —
-  // across tile sizes, including degenerate single-column tiles, and with
-  // and without padded rows.
+  // across tile sizes, including degenerate single-column tiles.
   TinyInstance t = make_tiny(200, 4, 2);
   const Result sym = estimate(t.points, t.domain, t.params, Algorithm::kPBSym);
   const double tol = rel_tolerance(sym.grid, 1e-5);
   for (const std::int64_t tile_bytes : {std::int64_t{1} << 20, std::int64_t{4096},
                                         std::int64_t{1}}) {
-    for (const bool pad : {true, false}) {
-      t.params.tile.tile_bytes = tile_bytes;
-      t.params.tile.pad_rows = pad;
-      const Result tile =
-          estimate(t.points, t.domain, t.params, Algorithm::kPBTile);
-      EXPECT_LE(tile.grid.max_abs_diff(sym.grid), tol)
-          << "tile_bytes=" << tile_bytes << " pad=" << pad;
-      EXPECT_GT(tile.diag.table_lookups, 0);
-      EXPECT_GE(tile.diag.table_lookups, tile.diag.table_fills);
-      EXPECT_GE(tile.diag.replication_factor, 1.0);
-    }
+    t.params.tile.tile_bytes = tile_bytes;
+    const Result tile =
+        estimate(t.points, t.domain, t.params, Algorithm::kPBTile);
+    EXPECT_LE(tile.grid.max_abs_diff(sym.grid), tol)
+        << "tile_bytes=" << tile_bytes;
+    EXPECT_GT(tile.diag.table_lookups, 0);
+    EXPECT_GE(tile.diag.table_lookups, tile.diag.table_fills);
+    EXPECT_GE(tile.diag.replication_factor, 1.0);
   }
 }
 
@@ -250,7 +246,7 @@ TEST(TileCache, CappedBudgetDoesNotAliasLatticeResidueClasses) {
   constexpr std::int32_t Hs = 4;
   const std::uint64_t table_bytes = (2 * Hs + 1) * (2 * Hs + 1) * 4 + 64;
   kernels::SpatialTableCache cache(
-      kernels::TableCacheConfig{16, 32 * table_bytes}, 3.0, Hs);
+      kernels::TableCacheConfig{16, 32 * table_bytes}, Hs);
   ASSERT_EQ(cache.slot_count(), 32u) << "budget no longer caps below Q^2";
   const DomainSpec dom{0.0, 0.0, 0.0, 32.0, 32.0, 8.0, 1.0, 1.0};
   const VoxelMapper map(dom);
@@ -261,7 +257,7 @@ TEST(TileCache, CappedBudgetDoesNotAliasLatticeResidueClasses) {
       for (int j = 0; j < 4; ++j) {
         const Point p{10.0 + (i + 0.125) / 4.0, 10.0 + (j + 0.125) / 4.0, 4.0};
         ++lookups;
-        fills += cache.lookup(k, map, p).filled ? 1 : 0;
+        fills += cache.lookup(k, map, p, 3.0, Hs).filled ? 1 : 0;
       }
   // 16 keys spread over 32 slots: a couple of mix() collisions are fine,
   // residue-class aliasing (hit rate <= ~0.2 here) is not.
@@ -274,7 +270,7 @@ TEST(TileCache, GenerousBudgetKeepsThePerfectLatticeIndex) {
   // is a perfect hash — distinct bins must never evict each other.
   constexpr std::int32_t Hs = 3;
   kernels::SpatialTableCache cache(
-      kernels::TableCacheConfig{8, std::uint64_t{8} << 20}, 3.0, Hs);
+      kernels::TableCacheConfig{8, std::uint64_t{8} << 20}, Hs);
   ASSERT_EQ(cache.slot_count(), 64u);
   const DomainSpec dom{0.0, 0.0, 0.0, 32.0, 32.0, 8.0, 1.0, 1.0};
   const VoxelMapper map(dom);
@@ -285,7 +281,7 @@ TEST(TileCache, GenerousBudgetKeepsThePerfectLatticeIndex) {
       for (int j = 0; j < 8; ++j) {
         const Point p{10.0 + (i + 0.5) / 8.0, 10.0 + (j + 0.5) / 8.0, 4.0};
         ++lookups;
-        fills += cache.lookup(k, map, p).filled ? 1 : 0;
+        fills += cache.lookup(k, map, p, 3.0, Hs).filled ? 1 : 0;
       }
   // 64 bins, 3 rounds: exactly 64 fills, everything after is a hit.
   EXPECT_EQ(fills, 64);
@@ -299,7 +295,7 @@ TEST(TileCache, NegativeZeroOffsetsShareTheExactKey) {
   // tables, so they must share one slot — the old keys split them.
   constexpr std::int32_t Hs = 3;
   kernels::SpatialTableCache cache(
-      kernels::TableCacheConfig{0, std::uint64_t{1} << 20}, 3.0, Hs);
+      kernels::TableCacheConfig{0, std::uint64_t{1} << 20}, Hs);
   const DomainSpec dom{0.0, 0.0, 0.0, 32.0, 32.0, 8.0, 2.0, 1.0};
   const VoxelMapper map(dom);
   const kernels::EpanechnikovKernel k;
@@ -308,8 +304,8 @@ TEST(TileCache, NegativeZeroOffsetsShareTheExactKey) {
   const Point neg{-std::numeric_limits<double>::denorm_min(), 5.0, 4.0};
   const Point pos{0.0, 5.0, 4.0};
   ASSERT_EQ(map.voxel_of(neg).x, map.voxel_of(pos).x);
-  int fills = cache.lookup(k, map, pos).filled ? 1 : 0;
-  const auto second = cache.lookup(k, map, neg);
+  int fills = cache.lookup(k, map, pos, 3.0, Hs).filled ? 1 : 0;
+  const auto second = cache.lookup(k, map, neg, 3.0, Hs);
   fills += second.filled ? 1 : 0;
   EXPECT_FALSE(second.filled) << "-0.0 offset missed the +0.0 table";
   EXPECT_EQ(fills, 1);

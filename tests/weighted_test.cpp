@@ -12,17 +12,33 @@ namespace {
 using stkde::testing::grid_tolerance;
 using stkde::testing::make_tiny;
 
+std::string algorithm_name(const ::testing::TestParamInfo<Algorithm>& info) {
+  std::string s = to_string(info.param);
+  for (auto& c : s)
+    if (c == '-') c = '_';
+  return s;
+}
+
+std::vector<Algorithm> all_but_vb() {
+  std::vector<Algorithm> out;
+  for (const Algorithm a : all_algorithms())
+    if (a != Algorithm::kVB) out.push_back(a);
+  return out;
+}
+
 TEST(Weighted, UnitWeightsMatchUnweighted) {
   const auto t = make_tiny(120, 3, 2);
   const std::vector<double> ones(t.points.size(), 1.0);
-  const Result w = run_weighted(t.points, ones, t.domain, t.params,
-                                WeightedStrategy::kSequential);
+  const Result w =
+      run_weighted(t.points, ones, t.domain, t.params, Algorithm::kPBSym);
   const Result plain = estimate(t.points, t.domain, t.params,
                                 Algorithm::kPBSym);
   EXPECT_LE(w.grid.max_abs_diff(plain.grid), grid_tolerance(plain.grid));
 }
 
 TEST(Weighted, IntegerWeightsMatchDuplicatedPoints) {
+  // Every algorithm: weights w_i equal w_i copies of the event, run through
+  // the same algorithm.
   const auto t = make_tiny(60, 3, 2);
   util::Xoshiro256 rng(5);
   std::vector<double> w(t.points.size());
@@ -32,42 +48,37 @@ TEST(Weighted, IntegerWeightsMatchDuplicatedPoints) {
     w[i] = static_cast<double>(reps);
     for (std::uint64_t r = 0; r < reps; ++r) duplicated.push_back(t.points[i]);
   }
-  const Result weighted = run_weighted(t.points, w, t.domain, t.params,
-                                       WeightedStrategy::kSequential);
-  const Result dup = estimate(duplicated, t.domain, t.params,
-                              Algorithm::kPBSym);
-  EXPECT_LE(weighted.grid.max_abs_diff(dup.grid),
-            3.0 * grid_tolerance(dup.grid));
+  for (const Algorithm a : all_algorithms()) {
+    const Result weighted = run_weighted(t.points, w, t.domain, t.params, a);
+    const Result dup = estimate(duplicated, t.domain, t.params, a);
+    EXPECT_EQ(weighted.diag.algorithm, to_string(a));
+    EXPECT_LE(weighted.grid.max_abs_diff(dup.grid),
+              3.0 * grid_tolerance(dup.grid))
+        << to_string(a);
+  }
 }
 
-TEST(Weighted, SequentialMatchesReference) {
-  const auto t = make_tiny(90, 3, 2);
-  util::Xoshiro256 rng(7);
-  std::vector<double> w(t.points.size());
-  for (auto& x : w) x = rng.uniform(0.0, 5.0);
-  const Result ref = run_weighted(t.points, w, t.domain, t.params,
-                                  WeightedStrategy::kReference);
-  const Result seq = run_weighted(t.points, w, t.domain, t.params,
-                                  WeightedStrategy::kSequential);
-  EXPECT_LE(seq.grid.max_abs_diff(ref.grid), grid_tolerance(ref.grid));
-}
+class WeightedAlgorithm : public ::testing::TestWithParam<Algorithm> {};
 
-TEST(Weighted, PdSchedMatchesReference) {
+TEST_P(WeightedAlgorithm, MatchesReference) {
+  // Weights in [0, 3) with every fourth one zero, against VB.
   const auto t = make_tiny(120, 3, 2);
   util::Xoshiro256 rng(11);
   std::vector<double> w(t.points.size());
-  for (auto& x : w) x = rng.uniform(0.0, 3.0);
+  for (std::size_t i = 0; i < w.size(); ++i)
+    w[i] = i % 4 == 0 ? 0.0 : rng.uniform(0.0, 3.0);
   Params p = t.params;
   for (const auto d : {DecompRequest{2, 2, 2}, DecompRequest{4, 3, 2}}) {
     p.decomp = d;
-    const Result ref = run_weighted(t.points, w, t.domain, p,
-                                    WeightedStrategy::kReference);
-    const Result par = run_weighted(t.points, w, t.domain, p,
-                                    WeightedStrategy::kPDSched);
-    EXPECT_LE(par.grid.max_abs_diff(ref.grid), grid_tolerance(ref.grid))
+    const Result ref = run_weighted(t.points, w, t.domain, p, Algorithm::kVB);
+    const Result r = run_weighted(t.points, w, t.domain, p, GetParam());
+    EXPECT_LE(r.grid.max_abs_diff(ref.grid), grid_tolerance(ref.grid))
         << d.to_string();
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(AllButVB, WeightedAlgorithm,
+                         ::testing::ValuesIn(all_but_vb()), algorithm_name);
 
 TEST(Weighted, ZeroWeightPointsContributeNothing) {
   const auto t = make_tiny(50, 3, 2);
@@ -81,8 +92,8 @@ TEST(Weighted, ZeroWeightPointsContributeNothing) {
       kept.push_back(t.points[i]);
     }
   }
-  const Result weighted = run_weighted(t.points, w, t.domain, t.params,
-                                       WeightedStrategy::kSequential);
+  const Result weighted =
+      run_weighted(t.points, w, t.domain, t.params, Algorithm::kPBSym);
   const Result sub = estimate(kept, t.domain, t.params, Algorithm::kPBSym);
   EXPECT_LE(weighted.grid.max_abs_diff(sub.grid), grid_tolerance(sub.grid));
 }
@@ -90,10 +101,9 @@ TEST(Weighted, ZeroWeightPointsContributeNothing) {
 TEST(Weighted, AllZeroWeightsGiveZeroGrid) {
   const auto t = make_tiny(30, 2, 1);
   const std::vector<double> zeros(t.points.size(), 0.0);
-  for (const auto s : {WeightedStrategy::kSequential,
-                       WeightedStrategy::kPDSched}) {
-    const Result r = run_weighted(t.points, zeros, t.domain, t.params, s);
-    EXPECT_DOUBLE_EQ(r.grid.sum(), 0.0) << to_string(s);
+  for (const Algorithm a : all_algorithms()) {
+    const Result r = run_weighted(t.points, zeros, t.domain, t.params, a);
+    EXPECT_DOUBLE_EQ(r.grid.sum(), 0.0) << to_string(a);
   }
 }
 
@@ -107,33 +117,27 @@ TEST(Weighted, ScaleInvarianceOfWeights) {
     w[i] = rng.uniform(0.1, 2.0);
     w10[i] = 10.0 * w[i];
   }
-  const Result a = run_weighted(t.points, w, t.domain, t.params,
-                                WeightedStrategy::kSequential);
-  const Result b = run_weighted(t.points, w10, t.domain, t.params,
-                                WeightedStrategy::kSequential);
+  const Result a =
+      run_weighted(t.points, w, t.domain, t.params, Algorithm::kPBSym);
+  const Result b =
+      run_weighted(t.points, w10, t.domain, t.params, Algorithm::kPBSym);
   EXPECT_LE(a.grid.max_abs_diff(b.grid), grid_tolerance(a.grid));
 }
 
 TEST(Weighted, ValidatesInput) {
   const auto t = make_tiny(20, 2, 1);
   EXPECT_THROW(run_weighted(t.points, std::vector<double>(3, 1.0), t.domain,
-                            t.params, WeightedStrategy::kSequential),
+                            t.params, Algorithm::kPBSym),
                std::invalid_argument);
   std::vector<double> w(t.points.size(), 1.0);
   w[5] = -0.5;
-  EXPECT_THROW(run_weighted(t.points, w, t.domain, t.params,
-                            WeightedStrategy::kSequential),
-               std::invalid_argument);
+  EXPECT_THROW(
+      run_weighted(t.points, w, t.domain, t.params, Algorithm::kPBSym),
+      std::invalid_argument);
   w[5] = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(run_weighted(t.points, w, t.domain, t.params,
-                            WeightedStrategy::kSequential),
-               std::invalid_argument);
-}
-
-TEST(Weighted, StrategyNames) {
-  EXPECT_EQ(to_string(WeightedStrategy::kReference), "W-STKDE-VB");
-  EXPECT_EQ(to_string(WeightedStrategy::kSequential), "W-STKDE-SYM");
-  EXPECT_EQ(to_string(WeightedStrategy::kPDSched), "W-STKDE-PD-SCHED");
+  EXPECT_THROW(
+      run_weighted(t.points, w, t.domain, t.params, Algorithm::kPBSym),
+      std::invalid_argument);
 }
 
 }  // namespace
