@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
                                  .intersect(whole);
         reduce[v] = 2.0 * static_cast<double>(halo.volume()) * sec_per_voxel;
       }
-      sched::ReplicationParams rp = p.rep;
+      sched::ReplicationParams rp;
       rp.P = P;
       const sched::ReplicationPlan plan =
           sched::plan_replication(g, col, compute, reduce, rp);

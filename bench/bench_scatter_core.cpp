@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
   std::int64_t cache_lookups = 0, cache_fills = 0, replica_tasks_p4 = 0;
   std::string par_schedule;
   std::string par_tiling;
-  const TileParams tile_cfg{};  // exact-offset cache, default tiling
+  const TileParams tile_cfg{};  // default tiling
 
   core::detail::with_kernel(params.kernel, [&](const auto& k) {
     kernels::SpatialInvariantRef ks_ref;
@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
           s.Ht);
       const PointBins bins = tile_major_bins(points, s.map, plan.tiles, s.Hs,
                                              s.Ht, plan.bin_rule());
-      core::detail::StampScratches scratch(tile_cfg, s.Hs, P);
+      core::detail::StampScratches scratch(s.Hs, P);
       const core::detail::TileScatterStats st =
           core::detail::scatter_tile_major(grid, whole, s, k, points, plan,
                                            bins, scratch, pool);

@@ -32,7 +32,6 @@ Result run_adaptive(const PointSet& points, const DomainSpec& dom,
   p.kernel = params.kernel;
   p.threads = params.threads;
   p.decomp = params.decomp;
-  p.order = params.order;
   p.tile.threads = 0;  // PB-TILE inherits threads
   // c_i = 1/(n h_i^2 ht): the run scale 1/(n ht) times the factor 1/h_i^2.
   std::vector<double> factors;

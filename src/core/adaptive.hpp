@@ -31,7 +31,6 @@ struct AdaptiveParams {
   kernels::KernelVariant kernel = kernels::EpanechnikovKernel{};
   int threads = 0;
   DecompRequest decomp{8, 8, 8};
-  sched::ColoringOrder order = sched::ColoringOrder::kLoadDescending;
 
   /// Throws std::invalid_argument on size mismatch / bad bandwidths.
   void validate(std::size_t n_points) const;

@@ -67,14 +67,8 @@ void Params::validate() const {
   if (threads < 0) throw std::invalid_argument("Params: threads must be >= 0");
   if (decomp.a < 1 || decomp.b < 1 || decomp.c < 1)
     throw std::invalid_argument("Params: decomposition parts must be >= 1");
-  if (rep.max_rounds < 0 || rep.max_factor < 1)
-    throw std::invalid_argument("Params: bad replication params");
   if (tile.tile_bytes <= 0)
     throw std::invalid_argument("Params: tile_bytes must be > 0");
-  if (tile.table_quant < 0)
-    throw std::invalid_argument("Params: table_quant must be >= 0");
-  if (tile.cache_bytes == 0)
-    throw std::invalid_argument("Params: cache_bytes must be > 0");
   if (tile.threads < 0)
     throw std::invalid_argument("Params: tile.threads must be >= 0");
 }

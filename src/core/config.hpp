@@ -8,8 +8,6 @@
 
 #include "kernels/kernels.hpp"
 #include "partition/decomposition.hpp"
-#include "sched/coloring.hpp"
-#include "sched/replication.hpp"
 
 namespace stkde {
 
@@ -46,29 +44,16 @@ enum class Algorithm {
 /// tile_bytes/threads govern Algorithm::kPBTile (whose result grid always
 /// has 64-byte-padded T-rows, so every SIMD row walk starts cache-line
 /// aligned); the streaming engine plans every ingest batch from the same
-/// tile_bytes and cache knobs (its thread count is StreamConfig::threads).
-/// The cache knobs
-/// (table_quant, cache_bytes) configure every cached stamp: each pool
-/// worker of a PB-TILE, DR, DD or PD-family run (and of a streaming
-/// engine) gets one table cache of cache_bytes, so the caches of one run
-/// take up to threads × cache_bytes. table_quant > 0 makes *all* of those
-/// strategies quantized-approximate (within the documented 1/Q offset
-/// bound), not just PB-TILE. The parallel schedule is not a knob:
-/// plan_tile_schedule picks parity waves on the finest 2Hs-safe tiling, or
-/// halo buffers when that tiling cannot feed every wave.
+/// tile_bytes (its thread count is StreamConfig::threads). The table cache
+/// is not a knob: each pool worker of a PB-TILE, DR, DD or PD-family run
+/// (and of a streaming engine) gets one exact-keyed cache of
+/// kernels::SpatialTableCache::kBudgetBytes. Neither is the parallel
+/// schedule: plan_tile_schedule picks parity waves on the finest 2Hs-safe
+/// tiling, or halo buffers when that tiling cannot feed every wave.
 struct TileParams {
   /// Grid bytes a tile may map onto — the working set that should stay
   /// L2-resident while its cylinders stamp.
   std::int64_t tile_bytes = std::int64_t{1} << 20;
-
-  /// Invariant-table cache quantization: 0 keys tables on exact sub-voxel
-  /// offsets (no approximation — the verification mode, and the profitable
-  /// one for lattice-snapped data); Q > 0 bins offsets to a QxQ sub-voxel
-  /// lattice (offset error < 1/Q voxel per axis).
-  std::int32_t table_quant = 0;
-
-  /// Byte budget of the table cache (sizes its direct-mapped slot array).
-  std::uint64_t cache_bytes = std::uint64_t{8} << 20;
 
   /// Worker threads for the tile walk: 1 = the serial engine (default),
   /// 0 = inherit Params::threads resolution, N > 1 = parallel waves on the
@@ -89,12 +74,6 @@ struct Params {
 
   /// Tile-engine knobs for the kPBTile strategy and streaming ingest.
   TileParams tile{};
-
-  /// Coloring order for SCHED/REP (PD-SCHED default: load descending).
-  sched::ColoringOrder order = sched::ColoringOrder::kLoadDescending;
-
-  /// Replication knobs for the REP variants (P is taken from threads).
-  sched::ReplicationParams rep{};
 
   /// Throws std::invalid_argument on nonsensical values.
   void validate() const;

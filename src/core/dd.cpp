@@ -52,7 +52,7 @@ Result run_pb_sym_dd(const PointSet& pts, const detail::RunSetup& s,
   util::ScopedPhase compute(res.phases, phase::kCompute);
   const std::int64_t nsub = dec.count();
   res.diag.task_seconds.assign(static_cast<std::size_t>(nsub), 0.0);
-  detail::StampScratches scratch(p.tile, s.Hs, P);
+  detail::StampScratches scratch(s.Hs, P);
   detail::with_kernel(p.kernel, [&](const auto& k) {
     pool.parallel_for(nsub, [&](std::int64_t v) {
       util::Timer task_timer;

@@ -44,7 +44,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/config.hpp"
 #include "core/detail/common.hpp"
 #include "core/result.hpp"
 #include "geom/voxel_mapper.hpp"
@@ -385,8 +384,7 @@ struct LaneStats {
 /// next. Aligned to a cache line so neighbouring workers' scratch, written
 /// every stamp, never shares one.
 struct alignas(util::kSimdAlign) StampScratch {
-  StampScratch(const kernels::TableCacheConfig& cfg, std::int32_t Hs)
-      : cache(cfg, Hs) {}
+  explicit StampScratch(std::int32_t Hs) : cache(Hs) {}
 
   kernels::SpatialTableCache cache;
   kernels::TemporalInvariant kt;
@@ -398,13 +396,12 @@ struct alignas(util::kSimdAlign) StampScratch {
 /// allocates a cache or a temporal table, and no two workers share one.
 class StampScratches {
  public:
-  /// \p workers slots (at least one) with caches configured by \p tile
-  /// and sized for the widest bandwidth \p Hs (voxels).
-  StampScratches(const TileParams& tile, std::int32_t Hs, int workers) {
-    const kernels::TableCacheConfig cfg{tile.table_quant, tile.cache_bytes};
+  /// \p workers slots (at least one) with caches sized for the widest
+  /// bandwidth \p Hs (voxels).
+  StampScratches(std::int32_t Hs, int workers) {
     const int n = std::max(1, workers);
     slots_.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) slots_.emplace_back(cfg, Hs);
+    for (int i = 0; i < n; ++i) slots_.emplace_back(Hs);
   }
   // Tasks on the pool's workers hold its address.
   StampScratches(const StampScratches&) = delete;

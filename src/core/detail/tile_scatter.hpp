@@ -17,11 +17,8 @@
 ///     offsets (kernels/table_cache.hpp) — a point revisited by its next
 ///     tile, or any co-located point, reuses the table instead of refilling.
 ///
-/// With TileParams::table_quant == 0 (the default) the cache keys on
-/// exact offsets and the engine is a pure reordering of PB-SYM's arithmetic
-/// (same tables, float accumulation order permuted). Quantized mode trades
-/// a bounded kernel-argument perturbation (< sres·√2/(Q·hs)) for hits on
-/// approximately co-located data.
+/// The cache keys on exact offsets, so the engine is a pure reordering of
+/// PB-SYM's arithmetic (same tables, float accumulation order permuted).
 ///
 /// One entry point, scatter_tile_major, runs a plan from
 /// plan_tile_schedule (recorded in Result::diag.tile_schedule) for PB-TILE
@@ -45,12 +42,9 @@
 /// Every bin is stamped by stamp_bin through the calling worker's slot of a
 /// caller-owned StampScratches, so a long-lived caller (the streaming
 /// engine) keeps its caches warm across passes. Every schedule is bitwise
-/// deterministic with the exact (quant == 0) cache: wave order is fixed,
-/// within a wave writers touch disjoint voxels, and within a tile the
-/// Morton order fixes the accumulation order. (The quantized cache's
-/// first-arrival representatives depend on the dynamic tile-to-worker
-/// assignment, so quantized parallel runs vary within the documented 1/Q
-/// error bound.)
+/// deterministic: wave order is fixed, within a wave writers touch disjoint
+/// voxels, within a tile the Morton order fixes the accumulation order, and
+/// a hit in any worker's cache reuses a bitwise-identical table.
 
 #include <algorithm>
 #include <cstdint>

@@ -64,7 +64,7 @@ Result run_pb_sym_dr(const PointSet& pts, const detail::RunSetup& s,
     const std::size_t n = idx.size();
     const std::size_t chunk = (n + static_cast<std::size_t>(P) - 1) /
                               static_cast<std::size_t>(P);
-    detail::StampScratches scratch(p.tile, s.Hs, P);
+    detail::StampScratches scratch(s.Hs, P);
     detail::with_kernel(p.kernel, [&](const auto& k) {
       pool.parallel_for(P, [&](std::int64_t id) {
         const std::size_t lo = std::min(n, static_cast<std::size_t>(id) * chunk);

@@ -27,8 +27,7 @@ IncrementalEstimator::IncrementalEstimator(const DomainSpec& dom,
       map_(dom),
       Hs_(dom.spatial_bandwidth_voxels(params.hs)),
       Ht_(dom.temporal_bandwidth_voxels(params.ht)),
-      scratch_(std::make_unique<detail::StampScratches>(params.tile, Hs_,
-                                                        cfg.threads)),
+      scratch_(std::make_unique<detail::StampScratches>(Hs_, cfg.threads)),
       last_cutoff_(-std::numeric_limits<double>::infinity()) {
   params_.validate();
   raw_.allocate(map_.dims());
@@ -52,8 +51,8 @@ void IncrementalEstimator::apply(const PointSet& batch, double sign) {
   // Every batch at every thread count is one pass of the PB-TILE engine,
   // planned on this grid: the serial tile walk at one thread, parity waves
   // (with the hotspot pre-wave) or halo buffers beyond. The cache keys on
-  // exact offsets by default (params_.tile), so the density is a pure
-  // reordering of the per-point scatter.
+  // exact offsets, so the density is a pure reordering of the per-point
+  // scatter.
   const detail::TilePlan plan = detail::plan_tile_schedule(
       map_.dims(), raw_.row_stride(), sizeof(float), params_.tile,
       cfg_.threads, Hs_, Ht_);

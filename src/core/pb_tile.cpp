@@ -11,10 +11,9 @@ namespace stkde::core {
 // are binned onto L2-sized spatial tiles and Morton-sorted within each; the
 // grid is walked tile by tile so a tile's rows stay resident while every
 // overlapping cylinder stamps into it; spatial invariant tables are served
-// from a sub-voxel-offset cache instead of being refilled per point. With
-// the default exact cache this computes the identical tables PB-SYM would
-// (float accumulation order permuted); docs/SCATTER_CORE.md details the
-// quantized mode's error bound.
+// from a sub-voxel-offset cache instead of being refilled per point. The
+// cache keys on exact offsets, so this computes the identical tables PB-SYM
+// would (float accumulation order permuted).
 //
 // With tile.threads != 1 the tile walk runs in parallel under one of two
 // conflict-free schedules picked by plan_tile_schedule (parity waves over
@@ -53,7 +52,7 @@ Result run_pb_tile(const PointSet& pts, const detail::RunSetup& s,
   res.diag.tile_threads = plan.threads;
 
   util::ScopedPhase compute(res.phases, phase::kCompute);
-  detail::StampScratches scratch(p.tile, s.Hs, P);
+  detail::StampScratches scratch(s.Hs, P);
   detail::with_kernel(p.kernel, [&](const auto& k) {
     const detail::TileScatterStats st = detail::scatter_tile_major(
         res.grid, Extent3::whole(s.map.dims()), s, k, pts, plan, bins, scratch,

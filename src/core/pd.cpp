@@ -67,7 +67,7 @@ Result run_pb_sym_pd(const PointSet& pts, const detail::RunSetup& s,
         .push_back(v);
   // Each worker's cache stays warm from one subdomain, and one parity set,
   // to the next.
-  detail::StampScratches scratch(p.tile, s.Hs, P);
+  detail::StampScratches scratch(s.Hs, P);
   detail::with_kernel(p.kernel, [&](const auto& k) {
     for (const auto& set : sets)
       pool.parallel_for(

@@ -52,10 +52,11 @@ Result run_pb_sym_pd_rep(const PointSet& pts, const detail::RunSetup& s,
   std::vector<Extent3> halo(static_cast<std::size_t>(nsub));
   {
     util::ScopedPhase planp(res.phases, phase::kPlan);
-    col = sched::greedy_coloring(
-        g,
-        use_sched_coloring ? p.order : sched::ColoringOrder::kNatural,
-        loads);
+    col = sched::greedy_coloring(g,
+                                 use_sched_coloring
+                                     ? sched::ColoringOrder::kLoadDescending
+                                     : sched::ColoringOrder::kNatural,
+                                 loads);
     // Cost model in "operation" units: processing a point costs its cylinder
     // volume of multiply-adds; replicating a subdomain costs one buffer
     // init plus one reduction over its halo volume.
@@ -71,7 +72,7 @@ Result run_pb_sym_pd_rep(const PointSet& pts, const detail::RunSetup& s,
       reduce_costs[static_cast<std::size_t>(v)] =
           2.0 * static_cast<double>(halo[static_cast<std::size_t>(v)].volume());
     }
-    sched::ReplicationParams rp = p.rep;
+    sched::ReplicationParams rp;
     rp.P = P;
     plan = sched::plan_replication(g, col, compute_costs, reduce_costs, rp);
     res.diag.num_colors = col.num_colors;
@@ -110,7 +111,7 @@ Result run_pb_sym_pd_rep(const PointSet& pts, const detail::RunSetup& s,
       static_cast<std::size_t>(nsub));
   // Tile treatment: every scatter task (direct or replica) stamps through
   // its worker's table cache, which persists for the whole DAG run.
-  detail::StampScratches scratch(p.tile, s.Hs, P);
+  detail::StampScratches scratch(s.Hs, P);
   detail::with_kernel(p.kernel, [&](const auto& k) {
     sched::DagScheduler dag;
     // write_task[v]: the task that mutates the shared grid for subdomain v

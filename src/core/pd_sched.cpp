@@ -39,7 +39,8 @@ Result run_pb_sym_pd_sched(const PointSet& pts, const detail::RunSetup& s,
   sched::Coloring col;
   {
     util::ScopedPhase plan(res.phases, phase::kPlan);
-    col = sched::greedy_coloring(g, p.order, loads);
+    col = sched::greedy_coloring(g, sched::ColoringOrder::kLoadDescending,
+                                 loads);
     const sched::DagMetrics m = sched::critical_path(g, col, loads);
     res.diag.num_colors = col.num_colors;
     res.diag.total_work = m.total_work;
@@ -60,7 +61,7 @@ Result run_pb_sym_pd_sched(const PointSet& pts, const detail::RunSetup& s,
   res.diag.task_seconds.assign(static_cast<std::size_t>(nsub), 0.0);
   // Tile treatment: every task stamps through its worker's table cache,
   // which persists for the run.
-  detail::StampScratches scratch(p.tile, s.Hs, P);
+  detail::StampScratches scratch(s.Hs, P);
   detail::with_kernel(p.kernel, [&](const auto& k) {
     sched::DagScheduler dag;
     for (std::int64_t v = 0; v < nsub; ++v) {

@@ -57,7 +57,7 @@
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
-// Datasets, I/O, analysis, performance model.
+// Datasets, I/O, analysis.
 #include "analysis/clusters.hpp"
 #include "data/csv.hpp"
 #include "data/datasets.hpp"
@@ -67,9 +67,6 @@
 #include "io/pgm.hpp"
 #include "io/slice.hpp"
 #include "io/vtk.hpp"
-#include "model/advisor.hpp"
-#include "model/calibration.hpp"
-#include "model/cost_model.hpp"
 
 // Density-as-a-service (link stkde_serve for these). The overload layer
 // (admission, executor, client retry) rides with it; its utility

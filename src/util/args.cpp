@@ -1,6 +1,29 @@
 #include "util/args.hpp"
 
+#include <charconv>
+#include <stdexcept>
+#include <system_error>
+
 namespace stkde::util {
+
+namespace {
+
+/// The whole of \p text as a T; throws std::invalid_argument naming the
+/// flag and the value when text has trailing characters, is not a number,
+/// or does not fit in T.
+template <class T>
+T parse_whole(const std::string& name, const std::string& text,
+              const char* type) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end)
+    throw std::invalid_argument("--" + name + ": '" + text + "' is not " +
+                                type);
+  return value;
+}
+
+}  // namespace
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
   program_ = argc > 0 ? argv[0] : "";
@@ -40,26 +63,17 @@ std::string ArgParser::get(const std::string& name,
 
 double ArgParser::get(const std::string& name, double fallback) const {
   auto v = raw(name);
-  if (!v || v->empty()) return fallback;
-  try {
-    return std::stod(*v);
-  } catch (...) {
-    return fallback;
-  }
+  return v ? parse_whole<double>(name, *v, "a double") : fallback;
 }
 
 long ArgParser::get(const std::string& name, long fallback) const {
   auto v = raw(name);
-  if (!v || v->empty()) return fallback;
-  try {
-    return std::stol(*v);
-  } catch (...) {
-    return fallback;
-  }
+  return v ? parse_whole<long>(name, *v, "a long integer") : fallback;
 }
 
 int ArgParser::get(const std::string& name, int fallback) const {
-  return static_cast<int>(get(name, static_cast<long>(fallback)));
+  auto v = raw(name);
+  return v ? parse_whole<int>(name, *v, "an int") : fallback;
 }
 
 }  // namespace stkde::util

@@ -1,6 +1,6 @@
 #pragma once
 /// \file args.hpp
-/// Minimal command-line parser for the examples and bench binaries.
+/// Minimal command-line parser for the examples.
 /// Supports "--name value", "--name=value", and boolean "--flag".
 
 #include <map>
@@ -19,6 +19,9 @@ class ArgParser {
 
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
+  /// The numeric getters return \p fallback when --name is absent and
+  /// throw std::invalid_argument, naming the flag and the value, unless the
+  /// whole value parses as the requested type and fits in it.
   [[nodiscard]] double get(const std::string& name, double fallback) const;
   [[nodiscard]] long get(const std::string& name, long fallback) const;
   [[nodiscard]] int get(const std::string& name, int fallback) const;

@@ -123,13 +123,6 @@ TEST(InvalidInput, NonFiniteDomainRejected) {
                std::invalid_argument);
 }
 
-TEST(InvalidInput, BadReplicationParamsRejected) {
-  TinyInstance t = make_tiny(10, 2, 1);
-  t.params.rep.max_factor = 0;
-  EXPECT_THROW(estimate(t.points, t.domain, t.params, Algorithm::kPBSymPDRep),
-               std::invalid_argument);
-}
-
 TEST(FailureRecovery, OomLeavesBudgetReusable) {
   TinyInstance t = make_tiny(20, 2, 1);
   {

@@ -3,9 +3,9 @@
 // The engine is a reorganization of PB-SYM's arithmetic — tile-major
 // traversal, Morton-sorted points, offset-keyed table sharing — so the
 // keystone assertions are equivalences: tile order vs arrival order at
-// float-reordering tolerance, and the quantized cache vs the exact path at
-// 1e-5 for every kernel when the data sits on a sub-voxel lattice the
-// cache's bins resolve.
+// float-reordering tolerance, and cache-served tables vs PB-SYM's per-point
+// fills at 1e-5 for every kernel when the data sits on a sub-voxel lattice,
+// so most lookups hit.
 
 #include <gtest/gtest.h>
 
@@ -170,27 +170,20 @@ TEST(TileEngine, TileOrderMatchesArrivalOrder) {
 
 class TileCacheKernelTest : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(TileCacheKernelTest, QuantizedCacheMatchesExactOnLatticeData) {
-  // The satellite equivalence: with events on an S=4 sub-voxel lattice and
-  // Q=8 bins (Q >= S resolves every lattice offset into its own bin), the
-  // quantized cache is *exact* — every hit reuses a table filled at the
-  // identical offset — so cached and exact runs agree within 1e-5.
+TEST_P(TileCacheKernelTest, CachedTablesMatchPBSymOnLatticeData) {
+  // With events on an S=4 sub-voxel lattice every hit reuses a table filled
+  // at the bitwise-identical offset, so PB-TILE agrees with PB-SYM's
+  // per-point fills within 1e-5 for every kernel.
   TinyInstance t = make_tiny(150, 4, 2);
   t.params.kernel = kernels::kernel_by_name(GetParam());
   t.points = data::snap_to_lattice(t.points, t.domain, 4);
-  const Result exact =
-      estimate(t.points, t.domain, t.params, Algorithm::kPBTile);
-  t.params.tile.table_quant = 8;
   const Result cached =
       estimate(t.points, t.domain, t.params, Algorithm::kPBTile);
-  EXPECT_LE(cached.grid.max_abs_diff(exact.grid),
-            rel_tolerance(exact.grid, 1e-5));
   // Lattice data has at most 16 distinct offsets: the cache must actually
   // hit, and lane stats must be accumulated per fill, not per lookup.
   EXPECT_GT(cached.diag.table_cache_hit_rate(), 0.5);
   EXPECT_EQ(cached.diag.table_cells,
             cached.diag.table_fills * 9LL * 9LL);  // (2*4+1)^2 per fill
-  // Against PB-SYM too (the cross-algorithm anchor).
   const Result sym = estimate(t.points, t.domain, t.params, Algorithm::kPBSym);
   EXPECT_LE(cached.grid.max_abs_diff(sym.grid), rel_tolerance(sym.grid, 1e-5));
 }
@@ -206,96 +199,26 @@ INSTANTIATE_TEST_SUITE_P(
       return s;
     });
 
-TEST(TileEngine, QuantizedCacheErrorIsBoundedOnContinuousData) {
-  // Off-lattice data pays the documented offset perturbation (< 1/Q voxel
-  // per axis). The grid-level effect must stay small and the cache must
-  // still hit (64 bins for 250 points, plus tile-replicated lookups).
-  TinyInstance t = make_tiny(250, 4, 2);
-  const Result exact =
-      estimate(t.points, t.domain, t.params, Algorithm::kPBTile);
-  t.params.tile.table_quant = 8;
-  const Result cached =
-      estimate(t.points, t.domain, t.params, Algorithm::kPBTile);
-  EXPECT_LE(cached.grid.max_abs_diff(exact.grid),
-            rel_tolerance(exact.grid, 0.05));
-  EXPECT_GT(cached.diag.table_cache_hit_rate(), 0.3);
-}
-
-TEST(TileEngine, OutOfLatticeOffsetsBypassQuantization) {
+TEST(TileEngine, OutOfLatticeOffsetsMatchPBSym) {
   // Points outside the domain clamp to border voxels, putting their offsets
-  // outside [0, 1]; the quantized cache must serve them through the exact
-  // scratch path, not a nearest lattice bin.
+  // outside [0, 1]; the cache keys those offsets like any other, so the
+  // tables it serves must still match PB-SYM's per-point fills.
   TinyInstance t = make_tiny(1, 3, 2);
   t.points = {Point{-1.7, 10.0, 8.0}, Point{25.3, -2.2, 8.0},
               Point{12.0, 21.8, 17.3}, Point{12.0, 10.0, -0.4}};
   const Result sym = estimate(t.points, t.domain, t.params, Algorithm::kPBSym);
-  t.params.tile.table_quant = 8;
   const Result cached =
       estimate(t.points, t.domain, t.params, Algorithm::kPBTile);
   EXPECT_LE(cached.grid.max_abs_diff(sym.grid), rel_tolerance(sym.grid, 1e-5));
 }
 
-TEST(TileCache, CappedBudgetDoesNotAliasLatticeResidueClasses) {
-  // Regression: with Q=16 and data on an S=4 sub-voxel lattice, the 16
-  // distinct quantized keys are kx*16 + ky for kx, ky in {0, 4, 8, 12}.
-  // When the byte budget caps the cache at 32 slots (< Q^2 = 256), the old
-  // linear `key % slots` folded all 16 keys onto the 4 slots {0, 4, 8, 12}
-  // — whole residue classes thrashing one slot forever. Routing capped
-  // lookups through mix() spreads them; after the first warm-up round the
-  // hit rate must be high, not pinned near zero.
-  constexpr std::int32_t Hs = 4;
-  const std::uint64_t table_bytes = (2 * Hs + 1) * (2 * Hs + 1) * 4 + 64;
-  kernels::SpatialTableCache cache(
-      kernels::TableCacheConfig{16, 32 * table_bytes}, Hs);
-  ASSERT_EQ(cache.slot_count(), 32u) << "budget no longer caps below Q^2";
-  const DomainSpec dom{0.0, 0.0, 0.0, 32.0, 32.0, 8.0, 1.0, 1.0};
-  const VoxelMapper map(dom);
-  const kernels::EpanechnikovKernel k;
-  int lookups = 0, fills = 0;
-  for (int round = 0; round < 8; ++round)
-    for (int i = 0; i < 4; ++i)
-      for (int j = 0; j < 4; ++j) {
-        const Point p{10.0 + (i + 0.125) / 4.0, 10.0 + (j + 0.125) / 4.0, 4.0};
-        ++lookups;
-        fills += cache.lookup(k, map, p, 3.0, Hs).filled ? 1 : 0;
-      }
-  // 16 keys spread over 32 slots: a couple of mix() collisions are fine,
-  // residue-class aliasing (hit rate <= ~0.2 here) is not.
-  const double hit_rate = 1.0 - static_cast<double>(fills) / lookups;
-  EXPECT_GT(hit_rate, 0.5);
-}
-
-TEST(TileCache, GenerousBudgetKeepsThePerfectLatticeIndex) {
-  // When every lattice bin has its own slot (slots == Q^2), the flat index
-  // is a perfect hash — distinct bins must never evict each other.
-  constexpr std::int32_t Hs = 3;
-  kernels::SpatialTableCache cache(
-      kernels::TableCacheConfig{8, std::uint64_t{8} << 20}, Hs);
-  ASSERT_EQ(cache.slot_count(), 64u);
-  const DomainSpec dom{0.0, 0.0, 0.0, 32.0, 32.0, 8.0, 1.0, 1.0};
-  const VoxelMapper map(dom);
-  const kernels::EpanechnikovKernel k;
-  int lookups = 0, fills = 0;
-  for (int round = 0; round < 3; ++round)
-    for (int i = 0; i < 8; ++i)
-      for (int j = 0; j < 8; ++j) {
-        const Point p{10.0 + (i + 0.5) / 8.0, 10.0 + (j + 0.5) / 8.0, 4.0};
-        ++lookups;
-        fills += cache.lookup(k, map, p, 3.0, Hs).filled ? 1 : 0;
-      }
-  // 64 bins, 3 rounds: exactly 64 fills, everything after is a hit.
-  EXPECT_EQ(fills, 64);
-  EXPECT_EQ(lookups, 3 * 64);
-}
-
 TEST(TileCache, NegativeZeroOffsetsShareTheExactKey) {
-  // Regression: exact-mode keys bit_cast the raw offsets, and a
+  // Regression: the cache's keys bit_cast the raw offsets, and a
   // voxel-boundary point can land on fx = -0.0 (e.g. (p.x - x0)/sres
   // underflowing to negative zero). -0.0 and +0.0 produce bitwise-identical
   // tables, so they must share one slot — the old keys split them.
   constexpr std::int32_t Hs = 3;
-  kernels::SpatialTableCache cache(
-      kernels::TableCacheConfig{0, std::uint64_t{1} << 20}, Hs);
+  kernels::SpatialTableCache cache(Hs);
   const DomainSpec dom{0.0, 0.0, 0.0, 32.0, 32.0, 8.0, 2.0, 1.0};
   const VoxelMapper map(dom);
   const kernels::EpanechnikovKernel k;
@@ -312,8 +235,8 @@ TEST(TileCache, NegativeZeroOffsetsShareTheExactKey) {
 }
 
 TEST(TileEngine, ExactCacheHitsOnLatticeData) {
-  // Even the exact-keyed cache (quant == 0) hits when data is recorded at
-  // fixed resolution: identical offsets have identical bit patterns.
+  // The exact-keyed cache hits when data is recorded at fixed resolution:
+  // identical offsets have identical bit patterns.
   TinyInstance t = make_tiny(200, 4, 2);
   t.points = data::snap_to_lattice(t.points, t.domain, 4);
   const Result r = estimate(t.points, t.domain, t.params, Algorithm::kPBTile);

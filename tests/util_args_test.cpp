@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace stkde::util {
 namespace {
 
@@ -50,9 +53,26 @@ TEST(ArgParser, FlagFollowedByFlagIsBoolean) {
   EXPECT_EQ(a.get("b", ""), "val");
 }
 
-TEST(ArgParser, MalformedNumberFallsBack) {
-  const auto a = parse({"prog", "--n", "abc"});
-  EXPECT_EQ(a.get("n", 3), 3);
+TEST(ArgParser, MalformedNumberThrows) {
+  // Trailing garbage, a value past the requested type's range, a word, and
+  // a double overflow: each throws, and the message names flag and value.
+  const auto a = parse({"prog", "--n", "12abc", "--k", "3000000000", "--x",
+                        "abc", "--d", "1e400"});
+  auto expect_named_throw = [](auto get, const std::string& flag,
+                               const std::string& value) {
+    try {
+      (void)get();
+      ADD_FAILURE() << flag << " " << value << " did not throw";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--" + flag), std::string::npos) << what;
+      EXPECT_NE(what.find(value), std::string::npos) << what;
+    }
+  };
+  expect_named_throw([&] { return a.get("n", 0L); }, "n", "12abc");
+  expect_named_throw([&] { return a.get("k", 0); }, "k", "3000000000");
+  expect_named_throw([&] { return a.get("x", 0.0); }, "x", "abc");
+  expect_named_throw([&] { return a.get("d", 0.0); }, "d", "1e400");
 }
 
 TEST(ArgParser, ProgramName) {
