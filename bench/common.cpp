@@ -10,6 +10,7 @@
 #include <iostream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string_view>
 
 #include "geom/voxel_mapper.hpp"
@@ -72,6 +73,7 @@ void print_usage(std::ostream& os, const char* prog) {
 CliOptions parse_cli(int argc, char** argv) {
   const char* const prog = argc > 0 ? argv[0] : "bench";
   CliOptions cli;
+  cli.program = prog;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--help") {
@@ -92,7 +94,13 @@ CliOptions parse_cli(int argc, char** argv) {
   return cli;
 }
 
-BenchEnv bench_env(const CliOptions& cli) { return make_env(cli.smoke); }
+BenchEnv bench_env(const CliOptions& cli) {
+  try {
+    return make_env(cli.smoke);
+  } catch (const std::invalid_argument& e) {
+    usage_error(cli.program.c_str(), e.what());
+  }
+}
 
 namespace {
 

@@ -48,6 +48,7 @@ struct BenchEnv {
 struct CliOptions {
   std::optional<std::string> json_path;
   bool smoke = false;
+  std::string program = "bench";  ///< argv[0], for usage errors
 };
 
 /// Parse the shared flags. Anything else — an unknown flag, a stray
@@ -56,7 +57,9 @@ struct CliOptions {
 [[nodiscard]] CliOptions parse_cli(int argc, char** argv);
 
 /// Read the environment, apply the CLI, and build the bench configuration
-/// (--smoke shrinks the budget the same way STKDE_BENCH_FAST=1 does).
+/// (--smoke shrinks the budget the same way STKDE_BENCH_FAST=1 does). A
+/// numeric variable whose whole value does not parse prints the reason and
+/// the usage on stderr and exits 2, like a bad flag.
 [[nodiscard]] BenchEnv bench_env(const CliOptions& cli);
 
 /// Machine-readable JSON artifact: named tables (serialized row-by-row with

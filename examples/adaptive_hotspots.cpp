@@ -25,7 +25,7 @@
 using namespace stkde;
 
 int main(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
+  const util::CommandLine args(argc, argv, "[--n 40000] [--k 15] [--out DIR]");
   const auto n = static_cast<std::size_t>(args.get("n", 40000L));
   const int k = args.get("k", 15);
   const std::string out = args.get("out", std::string("."));

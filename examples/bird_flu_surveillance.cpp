@@ -19,7 +19,7 @@
 using namespace stkde;
 
 int main(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
+  const util::CommandLine args(argc, argv, "[--n 30000]");
   const auto n = static_cast<std::size_t>(args.get("n", 30000L));
 
   // Alaska-to-Japan domain at 0.5 deg, 15 years of 3-day slices:

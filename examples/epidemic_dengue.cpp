@@ -48,7 +48,7 @@ void report_peak(const Result& r, const VoxelMapper& map) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
+  const util::CommandLine args(argc, argv, "[--out DIR] [--n 15000]");
   const std::string out = args.get("out", std::string("."));
   const auto n = static_cast<std::size_t>(args.get("n", 15000L));
 

@@ -9,9 +9,11 @@
 
 #include "core/estimator.hpp"
 #include "data/datasets.hpp"
+#include "util/args.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace stkde;
+  const util::CommandLine args(argc, argv, "");  // --help, or no arguments
 
   // 1. Events: (x, y, t) triples — e.g. meters and days. Real data would
   //    come from data::read_csv_file("events.csv").

@@ -13,9 +13,11 @@
 #include "data/datasets.hpp"
 #include "serve/session.hpp"
 #include "serve/snapshot_registry.hpp"
+#include "util/args.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace stkde;
+  const util::CommandLine args(argc, argv, "");  // --help, or no arguments
 
   // A city-scale domain and a dengue-style feed (see examples/quickstart.cpp
   // for the batch-estimation tour of the same data).

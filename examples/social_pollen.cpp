@@ -18,7 +18,7 @@
 using namespace stkde;
 
 int main(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
+  const util::CommandLine args(argc, argv, "[--budget-ms 2000] [--n 200000]");
   const double budget_ms = args.get("budget-ms", 2000.0);
   const auto n = static_cast<std::size_t>(args.get("n", 200000L));
 

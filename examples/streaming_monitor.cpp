@@ -42,7 +42,9 @@
 using namespace stkde;
 
 int main(int argc, char** argv) {
-  const util::ArgParser args(argc, argv);
+  const util::CommandLine args(argc, argv,
+                               "[--days 60] [--window 14] [--per-day 400] "
+                               "[--threads 4] [--late-frac 10]");
   const int days = args.get("days", 60);
   const double window = args.get("window", 14.0);
   const auto per_day = static_cast<std::size_t>(args.get("per-day", 400L));

@@ -73,16 +73,13 @@ namespace stkde::core {
 [[nodiscard]] Result run_pb_sym_pd(const PointSet& pts,
                                    const detail::RunSetup& s, const Params& p);
 
-/// PD + greedy load-aware coloring + DAG list scheduling (§5.2).
-[[nodiscard]] Result run_pb_sym_pd_sched(const PointSet& pts,
-                                         const detail::RunSetup& s,
-                                         const Params& p);
-
-/// PD + critical-path replication (§5.2). \p use_sched_coloring selects the
-/// SCHED-REP combination reported in Fig. 15.
-[[nodiscard]] Result run_pb_sym_pd_rep(const PointSet& pts,
+/// The colored-DAG strategies of §5.2, one entry point for \p a in
+/// {kPBSymPDSched, kPBSymPDRep, kPBSymPDSchedRep}: PD's subdomains as a
+/// colored conflict DAG run by a list scheduler. SCHED colors in
+/// load-descending order, REP replicates critical-path subdomains into halo
+/// buffers (plan_replication); SCHED-REP, reported in Fig. 15, does both.
+[[nodiscard]] Result run_pb_sym_pd_dag(const PointSet& pts,
                                        const detail::RunSetup& s,
-                                       const Params& p,
-                                       bool use_sched_coloring);
+                                       const Params& p, Algorithm a);
 
 }  // namespace stkde::core

@@ -44,15 +44,15 @@ enum class Algorithm {
 /// tile_bytes/threads govern Algorithm::kPBTile (whose result grid always
 /// has 64-byte-padded T-rows, so every SIMD row walk starts cache-line
 /// aligned); the streaming engine plans every ingest batch from the same
-/// tile_bytes (its thread count is StreamConfig::threads). The table cache
-/// is not a knob: each pool worker of a PB-TILE, DR, DD or PD-family run
-/// (and of a streaming engine) gets one exact-keyed cache of
-/// kernels::SpatialTableCache::kBudgetBytes. Neither is the parallel
-/// schedule: plan_tile_schedule picks parity waves on the finest 2Hs-safe
-/// tiling, or halo buffers when that tiling cannot feed every wave.
+/// tile_bytes (its thread count is StreamConfig::threads). tile_bytes sizes
+/// the serial walk's tiles; the parallel schedule is not a knob:
+/// plan_tile_schedule runs parity waves on the finest 2Hs-safe tiling at
+/// every thread count above one. Nor is the table cache: each pool worker
+/// of a PB-TILE, DR, DD or PD-family run (and of a streaming engine) gets
+/// one exact-keyed cache of kernels::SpatialTableCache::kBudgetBytes.
 struct TileParams {
-  /// Grid bytes a tile may map onto — the working set that should stay
-  /// L2-resident while its cylinders stamp.
+  /// Grid bytes a serial-walk tile may map onto — the working set that
+  /// should stay L2-resident while its cylinders stamp.
   std::int64_t tile_bytes = std::int64_t{1} << 20;
 
   /// Worker threads for the tile walk: 1 = the serial engine (default),

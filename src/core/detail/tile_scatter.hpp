@@ -24,21 +24,14 @@
 /// plan_tile_schedule (recorded in Result::diag.tile_schedule) for PB-TILE
 /// and for every streaming ingest batch. With one thread it walks the
 /// byte-budget tiling serially; with P > 1 it runs the tiles on the caller's
-/// sched::ThreadPool under one of two conflict-free schedules:
-///  - parity waves: owner-binned tiles at least 2Hs wide per spatial axis
-///    never write the same voxel when they agree on (a, b) parity, so the
-///    four (a%2, b%2) classes run as four synchronization-free waves (the
-///    PD rule, Algorithm 6). They run on the finest such tiling
-///    (Decomposition::clamped), whose many small tiles balance the waves.
-///    A pre-wave first splits hotspot tiles across replica tasks writing
-///    private halo buffers, folded back in the tile's parity slot (PD-REP).
-///  - halo buffers: when byte-budget tiles are narrower than 2Hs and the
-///    2Hs-safe tiling would leave too few tiles per wave to feed the
-///    workers, the byte-budget tiling is kept and tiles owner-compute into
-///    private halo buffers (tile expanded by Hs/Ht), folded back into the
-///    grid via accumulate_buffer. Scatter and fold-back are pipelined per
-///    strided wave (stride sized so same-wave halo footprints are
-///    disjoint), bounding peak halo memory to one wave's buffers.
+/// sched::ThreadPool in parity waves: owner-binned tiles at least 2Hs wide
+/// per spatial axis never write the same voxel when they agree on (a, b)
+/// parity, so the four (a%2, b%2) classes run as four synchronization-free
+/// waves (the PD rule, Algorithm 6). They run on the finest such tiling
+/// (Decomposition::clamped), whose many small tiles balance the waves. A
+/// pre-wave first splits hotspot tiles across replica tasks writing private
+/// halo buffers (tile expanded by Hs/Ht), folded back in the tile's parity
+/// slot via accumulate_buffer (PD-REP).
 /// Every bin is stamped by stamp_bin through the calling worker's slot of a
 /// caller-owned StampScratches, so a long-lived caller (the streaming
 /// engine) keeps its caches warm across passes. Every schedule is bitwise
@@ -65,14 +58,12 @@ namespace stkde::core::detail {
 enum class TileSchedule {
   kSerial,      ///< one thread, intersection bins, tile-clipped stamps
   kParityWave,  ///< owner bins, four (a,b)-parity waves, unclipped stamps
-  kHaloBuffer,  ///< owner bins, private halo buffers + strided fold-back
 };
 
 [[nodiscard]] inline const char* to_string(TileSchedule s) {
   switch (s) {
     case TileSchedule::kSerial: return "serial";
     case TileSchedule::kParityWave: return "parity-wave";
-    case TileSchedule::kHaloBuffer: return "halo-buffer";
   }
   return "?";
 }
@@ -80,9 +71,11 @@ enum class TileSchedule {
 /// How one engine pass was scheduled (feeds Result::diag and the
 /// streaming stats; the table counts are in the StampScratches).
 struct TileScatterStats {
-  std::int64_t waves = 0;            ///< parity/stride waves run (0 = serial)
+  std::int64_t waves = 0;            ///< parity waves run (0 = serial)
   std::int64_t replica_tasks = 0;    ///< hotspot replica tasks (pre-wave)
-  std::uint64_t halo_bytes = 0;      ///< peak halo-buffer memory (kHaloBuffer)
+  /// Bytes of the replica tasks' halo buffers, all alive from the pre-wave
+  /// until their tile's wave folds them back.
+  std::uint64_t replica_bytes = 0;
 };
 
 /// A resolved traversal: the tiling to bin onto and the schedule to run.
@@ -92,8 +85,8 @@ struct TilePlan {
   int threads;
 
   /// The binning rule the schedule consumes: the serial engine stamps
-  /// tile-clipped (every tile its cylinder intersects), the parallel
-  /// schedules are owner-computes.
+  /// tile-clipped (every tile its cylinder intersects), the parity waves
+  /// are owner-computes.
   [[nodiscard]] TileBinRule bin_rule() const {
     return schedule == TileSchedule::kSerial ? TileBinRule::kIntersection
                                              : TileBinRule::kOwner;
@@ -108,28 +101,18 @@ inline TilePlan plan_tile_schedule(const GridDims& dims,
                                    std::size_t value_size,
                                    const TileParams& cfg, int threads,
                                    std::int32_t Hs, std::int32_t Ht) {
-  Decomposition tiles =
-      tile_decomposition(dims, cfg.tile_bytes, value_size, row_stride_elems);
-  if (threads <= 1) return TilePlan{std::move(tiles), TileSchedule::kSerial, 1};
+  if (threads <= 1)
+    return TilePlan{tile_decomposition(dims, cfg.tile_bytes, value_size,
+                                       row_stride_elems),
+                    TileSchedule::kSerial, 1};
   // Parity waves are conflict-free iff same-parity tiles can never stamp the
   // same voxel: owner stamps reach Hs beyond the tile, so every spatial tile
   // width must be >= 2Hs (the PD rule; the temporal axis is unsplit). They
   // run on the finest such tiling: owner stamps are unclipped, so a smaller
   // tile costs no locality, and more tiles per wave balance the workers.
-  Decomposition safe = Decomposition::clamped(
-      dims, DecompRequest{dims.gx, dims.gy, 1}, Hs, Ht);
-  const bool budget_safe =
-      tiles.min_width_x() >= 2 * Hs && tiles.min_width_y() >= 2 * Hs;
-  // Byte-budget tiles narrower than 2Hs mean a bandwidth that is large for
-  // the grid. The safe tiling is still taken while each of the four waves
-  // has a tile per worker (the smallest parity class holds
-  // floor(a/2) * floor(b/2) tiles); otherwise the narrow byte-budget tiles
-  // are kept and pay for private halo buffers instead.
-  const std::int64_t min_wave_tiles =
-      static_cast<std::int64_t>(safe.a() / 2) * (safe.b() / 2);
-  if (budget_safe || min_wave_tiles >= static_cast<std::int64_t>(threads))
-    return TilePlan{std::move(safe), TileSchedule::kParityWave, threads};
-  return TilePlan{std::move(tiles), TileSchedule::kHaloBuffer, threads};
+  return TilePlan{Decomposition::clamped(
+                      dims, DecompRequest{dims.gx, dims.gy, 1}, Hs, Ht),
+                  TileSchedule::kParityWave, threads};
 }
 
 namespace tile_walk {
@@ -151,9 +134,9 @@ void serial(DenseGrid3<T>& grid, const Extent3& clip, const RunSetup& s,
   }
 }
 
-/// The parallel walk over owner bins: parity waves (with the hotspot
-/// pre-wave) or strided halo-buffer waves, each one
-/// ThreadPool::parallel_for whose dynamic schedule assigns tiles to workers.
+/// The parallel walk over owner bins: the hotspot pre-wave, then four
+/// parity waves, each one ThreadPool::parallel_for whose dynamic schedule
+/// assigns tiles to workers.
 template <kernels::SeparableKernel K, typename T>
 TileScatterStats parallel(DenseGrid3<T>& grid, const Extent3& clip,
                           const RunSetup& s, const K& k, const PointSet& pts,
@@ -172,119 +155,71 @@ TileScatterStats parallel(DenseGrid3<T>& grid, const Extent3& clip,
               std::span<const std::uint32_t>(bins.bins[v]).subspan(lo, hi - lo),
               scratch.of(&pool));
   };
-  std::vector<Extent3> halos(nsub);
-  auto halo_of = [&](std::size_t v) {
-    return tiles.subdomain(static_cast<std::int64_t>(v))
-        .expanded(s.Hs, s.Ht)
-        .intersect(clip);
+
+  // PD-REP pre-wave: a tile holding more than max(32, n/(2P)) points (a
+  // hotspot of a clustered feed, which would serialize its wave) is split
+  // across up to P replica tasks writing private halo buffers. Replicas
+  // are dependency-free, so they all run before the parity waves; the
+  // tile's parity slot folds its buffers back. The halo init and fold
+  // cost a few point-equivalents, so splitting is cheap relative to the
+  // imbalance it removes; the floor keeps near-empty tiles whole.
+  const auto P = static_cast<std::size_t>(plan.threads);
+  const std::size_t threshold =
+      std::max<std::size_t>(32, pts.size() / (2 * P));
+  struct Replica {
+    std::size_t tile, rep, lo, hi;
   };
-
-  if (plan.schedule == TileSchedule::kParityWave) {
-    // PD-REP pre-wave: a tile holding more than max(32, n/(2P)) points (a
-    // hotspot of a clustered feed, which would serialize its wave) is split
-    // across up to P replica tasks writing private halo buffers. Replicas
-    // are dependency-free, so they all run before the parity waves; the
-    // tile's parity slot folds its buffers back. The halo init and fold
-    // cost a few point-equivalents, so splitting is cheap relative to the
-    // imbalance it removes; the floor keeps near-empty tiles whole.
-    const auto P = static_cast<std::size_t>(plan.threads);
-    const std::size_t threshold =
-        std::max<std::size_t>(32, pts.size() / (2 * P));
-    struct Replica {
-      std::size_t tile, rep, lo, hi;
-    };
-    std::vector<Replica> replicas;
-    std::vector<std::vector<DenseGrid3<T>>> buffers(nsub);
-    for (std::size_t v = 0; v < nsub; ++v) {
-      const std::size_t n = bins.bins[v].size();
-      const std::size_t r = std::min(P, (n + threshold - 1) / threshold);
-      if (r < 2) continue;
-      halos[v] = halo_of(v);
-      buffers[v].resize(r);
-      const std::size_t chunk = (n + r - 1) / r;
-      for (std::size_t rep = 0; rep < r; ++rep) {
-        const std::size_t lo = std::min(n, rep * chunk);
-        replicas.push_back(Replica{v, rep, lo, std::min(n, lo + chunk)});
-      }
+  std::vector<Replica> replicas;
+  std::vector<Extent3> halos(nsub);
+  std::vector<std::vector<DenseGrid3<T>>> buffers(nsub);
+  for (std::size_t v = 0; v < nsub; ++v) {
+    const std::size_t n = bins.bins[v].size();
+    const std::size_t r = std::min(P, (n + threshold - 1) / threshold);
+    if (r < 2) continue;
+    halos[v] = tiles.subdomain(static_cast<std::int64_t>(v))
+                   .expanded(s.Hs, s.Ht)
+                   .intersect(clip);
+    buffers[v].resize(r);
+    stats.replica_bytes +=
+        r * static_cast<std::uint64_t>(halos[v].volume()) * sizeof(T);
+    const std::size_t chunk = (n + r - 1) / r;
+    for (std::size_t rep = 0; rep < r; ++rep) {
+      const std::size_t lo = std::min(n, rep * chunk);
+      replicas.push_back(Replica{v, rep, lo, std::min(n, lo + chunk)});
     }
-    stats.replica_tasks = static_cast<std::int64_t>(replicas.size());
+  }
+  stats.replica_tasks = static_cast<std::int64_t>(replicas.size());
+  pool.parallel_for(
+      static_cast<std::int64_t>(replicas.size()), [&](std::int64_t i) {
+        const Replica& rp = replicas[static_cast<std::size_t>(i)];
+        DenseGrid3<T>& buf = buffers[rp.tile][rp.rep];
+        buf.allocate(halos[rp.tile]);
+        buf.fill(static_cast<T>(0));
+        scatter_bin(buf, halos[rp.tile], rp.tile, rp.lo, rp.hi);
+      });
+
+  // Four (a, b)-parity waves over the subdomain conflict graph; c is
+  // always 1, so parity_coloring only ever emits the even colors.
+  const sched::Coloring col =
+      sched::parity_coloring(sched::StencilGraph::of(tiles));
+  std::vector<std::vector<std::size_t>> waves(
+      static_cast<std::size_t>(col.num_colors > 0 ? col.num_colors : 1));
+  for (std::size_t v = 0; v < col.size(); ++v)
+    if (!bins.bins[v].empty())
+      waves[static_cast<std::size_t>(col.color[v])].push_back(v);
+  for (const auto& wave : waves) {
+    if (wave.empty()) continue;
+    ++stats.waves;
     pool.parallel_for(
-        static_cast<std::int64_t>(replicas.size()), [&](std::int64_t i) {
-          const Replica& rp = replicas[static_cast<std::size_t>(i)];
-          DenseGrid3<T>& buf = buffers[rp.tile][rp.rep];
-          buf.allocate(halos[rp.tile]);
-          buf.fill(static_cast<T>(0));
-          scatter_bin(buf, halos[rp.tile], rp.tile, rp.lo, rp.hi);
+        static_cast<std::int64_t>(wave.size()), [&](std::int64_t i) {
+          const std::size_t v = wave[static_cast<std::size_t>(i)];
+          if (buffers[v].empty()) {
+            scatter_bin(grid, clip, v, 0, bins.bins[v].size());
+            return;
+          }
+          for (const auto& buf : buffers[v]) accumulate_buffer(grid, buf);
+          buffers[v].clear();  // free the halo memory promptly
         });
-
-    // Four (a, b)-parity waves over the subdomain conflict graph; c is
-    // always 1, so parity_coloring only ever emits the even colors.
-    const sched::Coloring col =
-        sched::parity_coloring(sched::StencilGraph::of(tiles));
-    std::vector<std::vector<std::size_t>> waves(
-        static_cast<std::size_t>(col.num_colors > 0 ? col.num_colors : 1));
-    for (std::size_t v = 0; v < col.size(); ++v)
-      if (!bins.bins[v].empty())
-        waves[static_cast<std::size_t>(col.color[v])].push_back(v);
-    for (const auto& wave : waves) {
-      if (wave.empty()) continue;
-      ++stats.waves;
-      pool.parallel_for(
-          static_cast<std::int64_t>(wave.size()), [&](std::int64_t i) {
-            const std::size_t v = wave[static_cast<std::size_t>(i)];
-            if (buffers[v].empty()) {
-              scatter_bin(grid, clip, v, 0, bins.bins[v].size());
-              return;
-            }
-            for (const auto& buf : buffers[v]) accumulate_buffer(grid, buf);
-            buffers[v].clear();  // free the halo memory promptly
-          });
-    }
-  } else {
-    // Owner-computes with halo buffers, pipelined per stride wave: a wave's
-    // tiles scatter into private buffers (dependency-free), then fold back
-    // via accumulate_buffer, then the buffers are freed before the next
-    // wave starts — so peak halo memory is one wave's worth, not the whole
-    // tiling's. Stride rule: same-wave tiles are >= (sx-1) tiles apart, so
-    // their halo boxes (tile ± Hs, the widest bandwidth) are disjoint when
-    // (sx - 1) * min_tile_width >= 2Hs (likewise sy).
-    std::vector<std::size_t> work;
-    std::vector<DenseGrid3<T>> buffers(nsub);
-    const std::int32_t sx =
-        2 + (2 * s.Hs - 1) / std::max(1, tiles.min_width_x());
-    const std::int32_t sy =
-        2 + (2 * s.Hs - 1) / std::max(1, tiles.min_width_y());
-    for (std::int32_t wx = 0; wx < sx; ++wx)
-      for (std::int32_t wy = 0; wy < sy; ++wy) {
-        work.clear();
-        std::uint64_t wave_bytes = 0;
-        for (std::size_t v = 0; v < nsub; ++v) {
-          if (bins.bins[v].empty()) continue;
-          std::int32_t a = 0, b = 0, c = 0;
-          tiles.coords(static_cast<std::int64_t>(v), a, b, c);
-          if (a % sx != wx || b % sy != wy) continue;
-          halos[v] = halo_of(v);
-          if (halos[v].empty()) continue;
-          wave_bytes += static_cast<std::uint64_t>(halos[v].volume()) *
-                        sizeof(T);
-          work.push_back(v);
-        }
-        if (work.empty()) continue;
-        ++stats.waves;
-        stats.halo_bytes = std::max(stats.halo_bytes, wave_bytes);
-        const auto n = static_cast<std::int64_t>(work.size());
-        pool.parallel_for(n, [&](std::int64_t i) {
-          const std::size_t v = work[static_cast<std::size_t>(i)];
-          buffers[v].allocate(halos[v]);
-          buffers[v].fill(static_cast<T>(0));
-          scatter_bin(buffers[v], halos[v], v, 0, bins.bins[v].size());
-        });
-        pool.parallel_for(n, [&](std::int64_t i) {
-          const std::size_t v = work[static_cast<std::size_t>(i)];
-          accumulate_buffer(grid, buffers[v]);
-          buffers[v] = DenseGrid3<T>{};  // free the halo memory promptly
-        });
-      }
   }
   return stats;
 }
@@ -298,8 +233,8 @@ TileScatterStats parallel(DenseGrid3<T>& grid, const Extent3& clip,
 /// tile_major_bins with plan.bin_rule() and s.Hs. Spatial tables and table
 /// counts live in \p scratch, which the caller owns — one slot per worker
 /// of \p pool, and slot 0 serves the serial walk: a caller that keeps it
-/// across passes keeps its tables warm. \p pool runs the parallel
-/// schedules and may be null for TileSchedule::kSerial.
+/// across passes keeps its tables warm. \p pool runs the parity waves and
+/// may be null for TileSchedule::kSerial.
 template <kernels::SeparableKernel K, typename T>
 TileScatterStats scatter_tile_major(DenseGrid3<T>& grid, const Extent3& clip,
                                     const RunSetup& s, const K& k,

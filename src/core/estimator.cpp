@@ -31,11 +31,9 @@ Result run(Algorithm a, const PointSet& pts, const detail::RunSetup& s,
     case Algorithm::kPBSymPD:
       return run_pb_sym_pd(pts, s, p);
     case Algorithm::kPBSymPDSched:
-      return run_pb_sym_pd_sched(pts, s, p);
     case Algorithm::kPBSymPDRep:
-      return run_pb_sym_pd_rep(pts, s, p, false);
     case Algorithm::kPBSymPDSchedRep:
-      return run_pb_sym_pd_rep(pts, s, p, true);
+      return run_pb_sym_pd_dag(pts, s, p, a);
   }
   throw std::invalid_argument("unknown algorithm");
 }

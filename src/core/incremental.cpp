@@ -50,9 +50,8 @@ void IncrementalEstimator::apply(const PointSet& batch, double sign) {
   mark_dirty(batch);
   // Every batch at every thread count is one pass of the PB-TILE engine,
   // planned on this grid: the serial tile walk at one thread, parity waves
-  // (with the hotspot pre-wave) or halo buffers beyond. The cache keys on
-  // exact offsets, so the density is a pure reordering of the per-point
-  // scatter.
+  // (with the hotspot pre-wave) beyond. The cache keys on exact offsets, so
+  // the density is a pure reordering of the per-point scatter.
   const detail::TilePlan plan = detail::plan_tile_schedule(
       map_.dims(), raw_.row_stride(), sizeof(float), params_.tile,
       cfg_.threads, Hs_, Ht_);
@@ -156,8 +155,7 @@ void IncrementalEstimator::quarantine_event(const Point& p,
   quarantine_.push_back(QuarantinedEvent{p, reason});
 }
 
-PointSet IncrementalEstimator::admit(const PointSet& batch,
-                                     bool count_stale_as_dead) {
+PointSet IncrementalEstimator::admit(const PointSet& batch) {
   PointSet ok;
   ok.reserve(batch.size());
   // One bandwidth: events farther off the box cannot touch any voxel.
@@ -173,9 +171,8 @@ PointSet IncrementalEstimator::admit(const PointSet& batch,
                p.t < tlo || p.t > thi) {
       quarantine_event(p, QuarantineReason::kOutOfDomain);
     } else if (p.t < last_cutoff_) {
-      // The same phenomenon the legacy path counted as dead_on_arrival —
-      // keep that counter's meaning and additionally track the event.
-      if (count_stale_as_dead) ++stats_.dead_on_arrival;
+      // Dead on arrival: counted, and tracked in the quarantine ring.
+      ++stats_.dead_on_arrival;
       quarantine_event(p, QuarantineReason::kStale);
     } else {
       ok.push_back(p);
@@ -260,8 +257,7 @@ void IncrementalEstimator::refresh_wal_health() {
 void IncrementalEstimator::add(const PointSet& batch) {
   guarded([&] {
     STKDE_FAILPOINT("stream.add");
-    const PointSet admitted =
-        cfg_.admission ? admit(batch, /*count_stale_as_dead=*/true) : batch;
+    const PointSet admitted = admit(batch);
     try {
       apply(admitted, +1.0);
     } catch (const util::InjectedCrash&) {
@@ -323,22 +319,10 @@ std::size_t IncrementalEstimator::advance_window(const PointSet& incoming,
     // Events already past the cutoff must never enter the grid: under the
     // old arrival-order deque they were added and could never be popped,
     // biasing the density permanently.
-    PointSet fresh;
-    std::size_t dead = 0;
-    if (cfg_.admission) {
-      const std::uint64_t dead_before = stats_.dead_on_arrival;
-      fresh = admit(incoming, /*count_stale_as_dead=*/true);
-      dead = static_cast<std::size_t>(stats_.dead_on_arrival - dead_before);
-    } else {
-      fresh.reserve(incoming.size());
-      for (const Point& p : incoming) {
-        if (p.t < cutoff)
-          ++dead;
-        else
-          fresh.push_back(p);
-      }
-      stats_.dead_on_arrival += dead;
-    }
+    const std::uint64_t dead_before = stats_.dead_on_arrival;
+    const PointSet fresh = admit(incoming);
+    const auto dead =
+        static_cast<std::size_t>(stats_.dead_on_arrival - dead_before);
     try {
       apply(fresh, +1.0);
     } catch (const util::InjectedCrash&) {

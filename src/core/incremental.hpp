@@ -63,7 +63,7 @@
 /// at-least-once feeder resumes from the next batch without duplicating
 /// any applied one.
 ///
-/// Admission (StreamConfig::admission): incoming events with non-finite
+/// Admission: incoming events with non-finite
 /// coordinates, positions farther than one bandwidth (hs spatially, ht
 /// temporally) outside the domain box — which cannot touch any voxel — or
 /// timestamps older than the current window cutoff are never scattered;
@@ -110,12 +110,6 @@ struct StreamConfig {
   /// Rebuild the grid from the live set after this many retired/removed
   /// events (bounds +/- cancellation drift). 0 disables checkpoints.
   std::uint64_t checkpoint_retires = std::uint64_t{1} << 20;
-
-  /// Validate events at ingest and quarantine rejects (non-finite,
-  /// farther than one bandwidth off the domain, older than the window
-  /// cutoff) instead of scattering them. false restores the legacy
-  /// behavior (only advance_window's own cutoff filter applies).
-  bool admission = true;
 
   /// Capacity of the quarantine ring; the oldest entry is evicted (and
   /// counted in stats().quarantine_dropped) when full.
@@ -416,10 +410,9 @@ class IncrementalEstimator {
   template <typename F>
   void guarded(F&& op);
   /// Admission filter: returns the admitted subset of \p batch and routes
-  /// rejects to the quarantine ring. \p count_stale_as_dead keeps
-  /// advance_window's historical dead_on_arrival accounting.
-  [[nodiscard]] PointSet admit(const PointSet& batch,
-                               bool count_stale_as_dead);
+  /// rejects to the quarantine ring (stale ones also count as
+  /// dead_on_arrival).
+  [[nodiscard]] PointSet admit(const PointSet& batch);
   void quarantine_event(const Point& p, QuarantineReason reason)
       STKDE_EXCLUDES(quarantine_mu_);
   /// Append one batch record to the WAL (no-op without durability) and

@@ -15,11 +15,12 @@ namespace stkde::core {
 // cache keys on exact offsets, so this computes the identical tables PB-SYM
 // would (float accumulation order permuted).
 //
-// With tile.threads != 1 the tile walk runs in parallel under one of two
-// conflict-free schedules picked by plan_tile_schedule (parity waves over
-// the finest PD-safe tiling, or owner-computes halo buffers for narrow
-// tilings); the choice is recorded in Result::diag.tile_schedule. The
-// streaming engine ingests every batch through the same entry point.
+// With tile.threads != 1 the tile walk runs in parallel in the parity waves
+// plan_tile_schedule lays over the finest PD-safe tiling, after a pre-wave
+// that splits hotspot tiles across replica halo buffers; the schedule is
+// recorded in Result::diag.tile_schedule and the replica buffers' bytes in
+// Result::diag.extra_bytes. The streaming engine ingests every batch
+// through the same entry point.
 Result run_pb_tile(const PointSet& pts, const detail::RunSetup& s,
                    const Params& p) {
   const int P =
@@ -58,7 +59,7 @@ Result run_pb_tile(const PointSet& pts, const detail::RunSetup& s,
         res.grid, Extent3::whole(s.map.dims()), s, k, pts, plan, bins, scratch,
         &pool);
     res.diag.num_colors = static_cast<std::int32_t>(st.waves);
-    res.diag.extra_bytes = st.halo_bytes;
+    res.diag.extra_bytes = st.replica_bytes;
   });
   scratch.lanes().store(res.diag);
   return res;

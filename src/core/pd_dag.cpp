@@ -8,27 +8,37 @@
 #include "partition/binning.hpp"
 #include "partition/load.hpp"
 #include "partition/tile_order.hpp"
+#include "sched/critical_path.hpp"
 #include "sched/dag_scheduler.hpp"
 #include "sched/replication.hpp"
 #include "sched/thread_pool.hpp"
 
 namespace stkde::core {
 
-// PB-SYM-PD-REP (§5.2): like PD-SCHED, but subdomains on the critical path
-// are made *moldable* — their point lists are split across r replica tasks,
-// each scattering into a private halo buffer (subdomain expanded by the
-// bandwidth), followed by one reduce task that adds the buffers into the
-// grid. Replica tasks have no dependencies at all; the reduce task inherits
-// the subdomain's position in the colored DAG. Replication is planned until
-// the critical path drops below T1/(2P), trading DR-style init+reduce
-// overhead for parallelism exactly where the chain is too long.
-Result run_pb_sym_pd_rep(const PointSet& pts, const detail::RunSetup& s,
-                         const Params& p, bool use_sched_coloring) {
+// The colored-DAG strategies of §5.2: instead of Algorithm 6's 8 synchronized
+// parity phases, model the subdomains as a 27-point stencil conflict graph,
+// greedy-color it, orient edges low -> high color, and execute the
+// resulting DAG with a dependency-counting list scheduler whose ready
+// priority is the task load. Two rules refine it:
+//  - SCHED colors in non-increasing load order, so heavy subdomains are
+//    colored (and hence started) first, shortening the critical path;
+//  - REP makes subdomains on the critical path *moldable* — their point
+//    lists are split across r replica tasks, each scattering into a private
+//    halo buffer (subdomain expanded by the bandwidth), followed by one
+//    reduce task that adds the buffers into the grid. Replica tasks have no
+//    dependencies at all; the reduce task inherits the subdomain's position
+//    in the colored DAG. Replication is planned until the critical path
+//    drops below T1/(2P), trading DR-style init+reduce overhead for
+//    parallelism exactly where the chain is too long.
+// PD-SCHED is the DAG with every replication factor 1 (one task per
+// subdomain), PD-REP colors in natural order, PD-SCHED-REP applies both.
+Result run_pb_sym_pd_dag(const PointSet& pts, const detail::RunSetup& s,
+                         const Params& p, Algorithm a) {
+  const bool load_order = a != Algorithm::kPBSymPDRep;
+  const bool replicate = a != Algorithm::kPBSymPDSched;
   const int P = p.resolved_threads();
   Result res;
-  res.diag.algorithm = to_string(use_sched_coloring
-                                     ? Algorithm::kPBSymPDSchedRep
-                                     : Algorithm::kPBSymPDRep);
+  res.diag.algorithm = to_string(a);
 
   const GridDims d = s.map.dims();
   const Decomposition dec = Decomposition::clamped(d, p.decomp, s.Hs, s.Ht);
@@ -53,49 +63,55 @@ Result run_pb_sym_pd_rep(const PointSet& pts, const detail::RunSetup& s,
   {
     util::ScopedPhase planp(res.phases, phase::kPlan);
     col = sched::greedy_coloring(g,
-                                 use_sched_coloring
+                                 load_order
                                      ? sched::ColoringOrder::kLoadDescending
                                      : sched::ColoringOrder::kNatural,
                                  loads);
-    // Cost model in "operation" units: processing a point costs its cylinder
-    // volume of multiply-adds; replicating a subdomain costs one buffer
-    // init plus one reduction over its halo volume.
-    const double per_point = (2.0 * s.Hs + 1.0) * (2.0 * s.Hs + 1.0) *
-                             (2.0 * s.Ht + 1.0);
-    std::vector<double> compute_costs(static_cast<std::size_t>(nsub));
-    std::vector<double> reduce_costs(static_cast<std::size_t>(nsub));
-    for (std::int64_t v = 0; v < nsub; ++v) {
-      halo[static_cast<std::size_t>(v)] =
-          dec.subdomain(v).expanded(s.Hs, s.Ht).intersect(whole);
-      compute_costs[static_cast<std::size_t>(v)] =
-          loads[static_cast<std::size_t>(v)] * per_point;
-      reduce_costs[static_cast<std::size_t>(v)] =
-          2.0 * static_cast<double>(halo[static_cast<std::size_t>(v)].volume());
-    }
-    sched::ReplicationParams rp;
-    rp.P = P;
-    plan = sched::plan_replication(g, col, compute_costs, reduce_costs, rp);
     res.diag.num_colors = col.num_colors;
-    res.diag.total_work = plan.total_work;
-    res.diag.critical_path = plan.final_cp;
     res.diag.load_imbalance = imbalance(loads).imbalance;
-    double fsum = 0.0;
-    std::uint64_t buf_bytes = 0;
-    for (std::int64_t v = 0; v < nsub; ++v) {
-      const auto f = plan.factor[static_cast<std::size_t>(v)];
-      fsum += f;
-      if (f > 1)
-        buf_bytes += static_cast<std::uint64_t>(f) *
-                     static_cast<std::uint64_t>(
-                         halo[static_cast<std::size_t>(v)].volume()) *
-                     sizeof(float);
+    if (!replicate) {
+      // Every factor 1; T1 and Tinf in point units.
+      plan.factor.assign(static_cast<std::size_t>(nsub), 1);
+      const sched::DagMetrics m = sched::critical_path(g, col, loads);
+      res.diag.total_work = m.total_work;
+      res.diag.critical_path = m.critical_path;
+    } else {
+      // Cost model in "operation" units: processing a point costs its
+      // cylinder volume of multiply-adds; replicating a subdomain costs one
+      // buffer init plus one reduction over its halo volume.
+      const double per_point = (2.0 * s.Hs + 1.0) * (2.0 * s.Hs + 1.0) *
+                               (2.0 * s.Ht + 1.0);
+      std::vector<double> compute_costs(static_cast<std::size_t>(nsub));
+      std::vector<double> reduce_costs(static_cast<std::size_t>(nsub));
+      for (std::int64_t v = 0; v < nsub; ++v) {
+        const auto sv = static_cast<std::size_t>(v);
+        halo[sv] = dec.subdomain(v).expanded(s.Hs, s.Ht).intersect(whole);
+        compute_costs[sv] = loads[sv] * per_point;
+        reduce_costs[sv] = 2.0 * static_cast<double>(halo[sv].volume());
+      }
+      sched::ReplicationParams rp;
+      rp.P = P;
+      plan = sched::plan_replication(g, col, compute_costs, reduce_costs, rp);
+      res.diag.total_work = plan.total_work;
+      res.diag.critical_path = plan.final_cp;
+      double fsum = 0.0;
+      std::uint64_t buf_bytes = 0;
+      for (std::int64_t v = 0; v < nsub; ++v) {
+        const auto sv = static_cast<std::size_t>(v);
+        const auto f = plan.factor[sv];
+        fsum += f;
+        if (f > 1)
+          buf_bytes += static_cast<std::uint64_t>(f) *
+                       static_cast<std::uint64_t>(halo[sv].volume()) *
+                       sizeof(float);
+      }
+      res.diag.replication_factor = fsum / static_cast<double>(nsub);
+      res.diag.extra_bytes = buf_bytes;
+      // Conservative OOM guard: all replica buffers live at once, plus the
+      // grid itself (reproduces the paper's Fig. 14 OOM at low decomposition).
+      util::MemoryBudget::instance().require(
+          buf_bytes + static_cast<std::uint64_t>(d.voxels()) * sizeof(float));
     }
-    res.diag.replication_factor = fsum / static_cast<double>(nsub);
-    res.diag.extra_bytes = buf_bytes;
-    // Conservative OOM guard: all replica buffers live at once, plus the
-    // grid itself (reproduces the paper's Fig. 14 OOM at low decomposition).
-    util::MemoryBudget::instance().require(
-        buf_bytes + static_cast<std::uint64_t>(d.voxels()) * sizeof(float));
   }
 
   sched::ThreadPool pool(P);

@@ -46,8 +46,8 @@ struct Diagnostics {
   std::int64_t table_lookups = 0;  ///< cache probes (one per point-tile stamp)
   std::int64_t table_fills = 0;    ///< probes that had to compute a table
 
-  /// PB-TILE traversal schedule ("serial", "parity-wave", "halo-buffer";
-  /// empty for the other strategies) and the worker count it ran with.
+  /// PB-TILE traversal schedule ("serial" or "parity-wave"; empty for the
+  /// other strategies) and the worker count it ran with.
   std::string tile_schedule;
   int tile_threads = 0;
 

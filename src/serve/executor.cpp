@@ -202,8 +202,7 @@ void RequestExecutor::run_job(const JobPtr& job) {
         return job->cancel->load(std::memory_order_acquire) ||
                clock_->now() > job->deadline;
       };
-      resp = execute_cancellable(session, job->query, cancelled,
-                                 cfg_.grid_rows_per_check);
+      resp = execute(session, job->query, cancelled);
       if (const auto* err = std::get_if<wire::ErrorResponse>(&resp);
           err && err->code == wire::ErrorCode::kDeadlineExceeded)
         outcome = Outcome::kCancelledInflight;

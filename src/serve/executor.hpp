@@ -18,7 +18,7 @@
 ///      in per-class FIFOs and are re-checked at dequeue: a deadline that
 ///      expired while waiting answers kDeadlineExceeded without running.
 ///      In-flight expensive queries poll a cancellation token between
-///      grid row slabs (service.cpp execute_cancellable).
+///      8-row grid slabs (serve::execute, Session::region_grid).
 ///   5. the served-response invariant — a response computed past its
 ///      deadline is converted to kDeadlineExceeded before it is sent:
 ///      the executor never serves a deadline-expired result, full stop.
@@ -67,10 +67,6 @@ struct ExecutorConfig {
   /// deadline each request carries through admission, queueing, and
   /// execution; 0 means requests never expire.
   SessionConfig session;
-
-  /// Cancellation-poll granularity for region-grid extraction (X-rows
-  /// between deadline checks).
-  std::size_t grid_rows_per_check = 8;
 };
 
 /// Executor counters. Every submitted frame lands in exactly one of the

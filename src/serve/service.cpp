@@ -29,14 +29,24 @@ wire::HealthResponse health_response(const Session& session) {
 }  // namespace
 
 wire::ResponseMessage execute(const Session& session,
-                              const wire::QueryMessage& query) {
+                              const wire::QueryMessage& query,
+                              const std::function<bool()>& cancelled) {
+  const auto deadline_exceeded = [] {
+    return wire::ErrorResponse{wire::ErrorCode::kDeadlineExceeded,
+                               "request cancelled during execution"};
+  };
+  // Hotspot clustering is monolithic (analysis/clusters has no incremental
+  // form); one poll before committing to it is the best cancellation point.
+  if (std::holds_alternative<wire::HotspotsQuery>(query) && cancelled &&
+      cancelled())
+    return deadline_exceeded();
   // Health is answerable unconditionally — before the first publish, during
   // a writer stall, always. Dispatch it before the no-data gate.
   if (std::holds_alternative<wire::HealthQuery>(query))
     return health_response(session);
   // Data queries against a session that has never pinned a published
   // version get a typed error, not a silently-zero answer a caller could
-  // mistake for a real density.
+  // mistake for a density.
   if (!session.pinned().valid())
     return wire::ErrorResponse{wire::ErrorCode::kUnavailable,
                                "no density version published yet"};
@@ -68,9 +78,11 @@ wire::ResponseMessage execute(const Session& session,
         } else {
           static_assert(std::is_same_v<T, wire::RegionGridQuery>);
           try {
+            auto grid = session.region_grid(q.region, cancelled);
+            if (!grid) return deadline_exceeded();
             wire::RegionGridResponse resp;
             resp.version = version;
-            resp.grid = session.region_grid(q.region);
+            resp.grid = std::move(*grid);
             return resp;
           } catch (const std::invalid_argument&) {
             return bad_argument("region clips to empty");
@@ -78,37 +90,6 @@ wire::ResponseMessage execute(const Session& session,
         }
       },
       query);
-}
-
-wire::ResponseMessage execute_cancellable(
-    const Session& session, const wire::QueryMessage& query,
-    const std::function<bool()>& cancelled, std::size_t rows_per_check) {
-  const auto deadline_exceeded = [] {
-    return wire::ErrorResponse{wire::ErrorCode::kDeadlineExceeded,
-                               "request cancelled during execution"};
-  };
-  if (const auto* grid_q = std::get_if<wire::RegionGridQuery>(&query)) {
-    if (!session.pinned().valid())
-      return wire::ErrorResponse{wire::ErrorCode::kUnavailable,
-                                 "no density version published yet"};
-    try {
-      auto grid = session.region_grid(
-          grid_q->region, cancelled,
-          static_cast<std::int32_t>(rows_per_check));
-      if (!grid) return deadline_exceeded();
-      wire::RegionGridResponse resp;
-      resp.version = session.version();
-      resp.grid = std::move(*grid);
-      return resp;
-    } catch (const std::invalid_argument&) {
-      return bad_argument("region clips to empty");
-    }
-  }
-  // Hotspot clustering is monolithic (analysis/clusters has no incremental
-  // form); one poll before committing to it is the best cancellation point.
-  if (std::holds_alternative<wire::HotspotsQuery>(query) && cancelled())
-    return deadline_exceeded();
-  return execute(session, query);
 }
 
 wire::Frame serve_frame(const Session& session, const std::uint8_t* data,

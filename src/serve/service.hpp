@@ -27,20 +27,17 @@ namespace stkde::serve {
 /// a zero a caller could mistake for a density. HealthQuery is always
 /// answered, no matter the registry's state. Valid queries over a published
 /// but *empty* stream (n == 0) still return zeros — that is a real answer.
-[[nodiscard]] wire::ResponseMessage execute(const Session& session,
-                                            const wire::QueryMessage& query);
-
-/// execute() with cooperative cancellation for the expensive queries: a
-/// region-grid scan polls \p cancelled between row slabs (of
-/// \p rows_per_check X-rows) and a hotspot extraction polls it once before
-/// clustering; a true poll yields ErrorResponse{kDeadlineExceeded} instead
-/// of a result. Cheap/medium queries ignore the token — they finish faster
-/// than a poll is worth. This is the dispatch the overload executor runs
-/// in-flight requests through (serve/executor.hpp); its deadline checks
-/// are the usual \p cancelled implementation.
-[[nodiscard]] wire::ResponseMessage execute_cancellable(
+///
+/// Cooperative cancellation for the expensive queries: a region-grid scan
+/// polls \p cancelled between slabs of X-rows (Session::region_grid) and a
+/// hotspot extraction polls it once before clustering; a true poll yields
+/// ErrorResponse{kDeadlineExceeded} instead of a result. Cheap/medium
+/// queries ignore the token — they finish faster than a poll is worth. An
+/// empty \p cancelled never cancels; the overload executor
+/// (serve/executor.hpp) passes its deadline and cancel-flag checks.
+[[nodiscard]] wire::ResponseMessage execute(
     const Session& session, const wire::QueryMessage& query,
-    const std::function<bool()>& cancelled, std::size_t rows_per_check = 8);
+    const std::function<bool()>& cancelled = {});
 
 /// Frame in, frame out: decode, execute, encode. Malformed frames come
 /// back as an encoded ErrorResponse{kMalformed} carrying the decode

@@ -158,14 +158,8 @@ std::vector<Hotspot> Session::top_hotspots(std::size_t k,
   return out;
 }
 
-DensityGrid Session::region_grid(const Extent3& region) const {
-  auto out = region_grid(region, [] { return false; });
-  return std::move(*out);  // never-cancelled scan always produces a grid
-}
-
 std::optional<DensityGrid> Session::region_grid(
-    const Extent3& region, const std::function<bool()>& cancelled,
-    std::int32_t rows_per_check) const {
+    const Extent3& region, const std::function<bool()>& cancelled) const {
   const Extent3 r = clip(region);
   if (r.empty())
     throw std::invalid_argument("Session::region_grid: empty region");
@@ -175,12 +169,13 @@ std::optional<DensityGrid> Session::region_grid(
     return out;
   }
   const double norm = snap_.norm();
-  const std::int32_t slab = std::max<std::int32_t>(1, rows_per_check);
+  // Poll between 8-row X slabs: frequent enough that an expired deadline
+  // stops an O(volume) scan promptly, rare enough to stay off the
+  // per-voxel hot path.
+  constexpr std::int32_t kSlabRows = 8;
   for (std::int32_t X = r.xlo; X < r.xhi; ++X) {
-    // Poll between X-row slabs: frequent enough that an expired deadline
-    // stops an O(volume) scan promptly, rare enough to stay off the
-    // per-voxel hot path.
-    if ((X - r.xlo) % slab == 0 && cancelled()) return std::nullopt;
+    if ((X - r.xlo) % kSlabRows == 0 && cancelled && cancelled())
+      return std::nullopt;
     for (std::int32_t Y = r.ylo; Y < r.yhi; ++Y) {
       const float* src = snap_.raw->row(X, Y);
       const std::int32_t lo = r.tlo - snap_.raw->extent().tlo;

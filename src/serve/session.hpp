@@ -149,18 +149,14 @@ class Session {
       std::size_t k, double quantile = 0.99) const;
 
   /// Normalized density sub-grid over \p region (clipped to the grid).
-  /// Throws std::invalid_argument when the clip is empty.
-  [[nodiscard]] DensityGrid region_grid(const Extent3& region) const;
-
-  /// Cancellable region_grid: the extraction proceeds in X-row slabs of
-  /// \p rows_per_check rows and polls \p cancelled between slabs; a true
-  /// poll abandons the scan and returns nullopt. The executor's deadline
-  /// enforcement hangs off this — an expired expensive query stops
-  /// touching memory within one slab, not one full volume. Same
-  /// empty-clip contract as region_grid.
+  /// Throws std::invalid_argument when the clip is empty. The extraction
+  /// proceeds in slabs of 8 X-rows and polls \p cancelled (when set)
+  /// between slabs; a true poll abandons the scan and returns nullopt. The
+  /// executor's deadline enforcement hangs off this — an expired expensive
+  /// query stops touching memory within one slab, not one full volume.
   [[nodiscard]] std::optional<DensityGrid> region_grid(
-      const Extent3& region, const std::function<bool()>& cancelled,
-      std::int32_t rows_per_check = 8) const;
+      const Extent3& region,
+      const std::function<bool()>& cancelled = {}) const;
 
  private:
   /// \p region clipped to the served grid extent.

@@ -1,26 +1,20 @@
 #include "util/args.hpp"
 
-#include <charconv>
-#include <stdexcept>
-#include <system_error>
+#include <cstdlib>
+#include <iostream>
+#include <set>
 
 namespace stkde::util {
 
 namespace {
 
-/// The whole of \p text as a T; throws std::invalid_argument naming the
-/// flag and the value when text has trailing characters, is not a number,
-/// or does not fit in T.
+/// parse_whole, throwing std::invalid_argument naming the flag and the
+/// value when it fails.
 template <class T>
-T parse_whole(const std::string& name, const std::string& text,
-              const char* type) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc{} || ptr != end)
-    throw std::invalid_argument("--" + name + ": '" + text + "' is not " +
-                                type);
-  return value;
+T parse_flag(const std::string& name, const std::string& text,
+             const char* type) {
+  if (const auto value = parse_whole<T>(text)) return *value;
+  throw std::invalid_argument("--" + name + ": '" + text + "' is not " + type);
 }
 
 }  // namespace
@@ -63,17 +57,51 @@ std::string ArgParser::get(const std::string& name,
 
 double ArgParser::get(const std::string& name, double fallback) const {
   auto v = raw(name);
-  return v ? parse_whole<double>(name, *v, "a double") : fallback;
+  return v ? parse_flag<double>(name, *v, "a double") : fallback;
 }
 
 long ArgParser::get(const std::string& name, long fallback) const {
   auto v = raw(name);
-  return v ? parse_whole<long>(name, *v, "a long integer") : fallback;
+  return v ? parse_flag<long>(name, *v, "a long integer") : fallback;
 }
 
 int ArgParser::get(const std::string& name, int fallback) const {
   auto v = raw(name);
-  return v ? parse_whole<int>(name, *v, "an int") : fallback;
+  return v ? parse_flag<int>(name, *v, "an int") : fallback;
+}
+
+CommandLine::CommandLine(int argc, const char* const* argv, std::string usage)
+    : args_(argc, argv), usage_(std::move(usage)) {
+  // The accepted flags are the "--name" words of the usage.
+  std::set<std::string> accepted;
+  for (auto at = usage_.find("--"); at != std::string::npos;
+       at = usage_.find("--", at + 2)) {
+    const auto end = usage_.find_first_of(" =]", at + 2);
+    accepted.insert(usage_.substr(at + 2, end - (at + 2)));
+  }
+  for (int i = 1; i < argc; ++i) {
+    const std::string a = argv[i];
+    if (a.rfind("--", 0) != 0) continue;
+    const std::string name = a.substr(2, a.find('=') - 2);
+    if (name == "help") {
+      print_usage(std::cout);
+      std::exit(0);
+    }
+    if (accepted.count(name) == 0) fail("unknown flag '" + a + "'");
+  }
+  if (!args_.positional().empty())
+    fail("unexpected argument '" + args_.positional().front() + "'");
+}
+
+void CommandLine::print_usage(std::ostream& os) const {
+  os << "usage: " << args_.program() << " " << usage_
+     << (usage_.empty() ? "" : " ") << "[--help]\n";
+}
+
+void CommandLine::fail(const std::string& why) const {
+  std::cerr << args_.program() << ": " << why << "\n";
+  print_usage(std::cerr);
+  std::exit(2);
 }
 
 }  // namespace stkde::util

@@ -1,9 +1,27 @@
 #include "util/env.hpp"
 
 #include <cstdlib>
+#include <stdexcept>
 #include <thread>
 
+#include "util/args.hpp"
+
 namespace stkde::util {
+
+namespace {
+
+/// \p name's value parsed by parse_whole, or \p fallback when it is unset;
+/// throws std::invalid_argument naming the variable and the value when it
+/// does not parse.
+template <class T>
+T env_number(const std::string& name, T fallback, const char* type) {
+  const auto s = env_string(name);
+  if (!s) return fallback;
+  if (const auto value = parse_whole<T>(*s)) return *value;
+  throw std::invalid_argument(name + "='" + *s + "' is not " + type);
+}
+
+}  // namespace
 
 std::optional<std::string> env_string(const std::string& name) {
   const char* v = std::getenv(name.c_str());
@@ -12,23 +30,11 @@ std::optional<std::string> env_string(const std::string& name) {
 }
 
 double env_double(const std::string& name, double fallback) {
-  auto s = env_string(name);
-  if (!s) return fallback;
-  try {
-    return std::stod(*s);
-  } catch (...) {
-    return fallback;
-  }
+  return env_number(name, fallback, "a double");
 }
 
 long env_long(const std::string& name, long fallback) {
-  auto s = env_string(name);
-  if (!s) return fallback;
-  try {
-    return std::stol(*s);
-  } catch (...) {
-    return fallback;
-  }
+  return env_number(name, fallback, "a long integer");
 }
 
 bool env_flag(const std::string& name) {

@@ -14,10 +14,13 @@ namespace stkde::util {
 /// Raw getenv as optional<string>.
 [[nodiscard]] std::optional<std::string> env_string(const std::string& name);
 
-/// Parse env var as double; returns fallback when unset or unparsable.
+/// Parse env var as double; returns fallback when unset. Throws
+/// std::invalid_argument, naming the variable and the value, unless the
+/// whole value parses as a double (an empty value throws too).
 [[nodiscard]] double env_double(const std::string& name, double fallback);
 
-/// Parse env var as long; returns fallback when unset or unparsable.
+/// Parse env var as long; returns fallback when unset, throws like
+/// env_double unless the whole value parses as a long and fits.
 [[nodiscard]] long env_long(const std::string& name, long fallback);
 
 /// True when the variable is set to something other than "", "0", "false".

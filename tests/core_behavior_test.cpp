@@ -128,6 +128,32 @@ TEST(Diagnostics, RepWithoutImbalanceDoesNotReplicate) {
   EXPECT_EQ(r.diag.extra_bytes, 0u);
 }
 
+// PD-SCHED is PD-SCHED-REP's colored DAG with every replication factor 1:
+// where plan_replication replicates nothing, the two runs build the same
+// tasks, priorities and color edges, so their grids agree bit for bit.
+TEST(Diagnostics, SchedMatchesSchedRepWhenNothingReplicates) {
+  TinyInstance t = make_tiny(1, 1, 1);
+  t.points = data::generate_uniform(t.domain, 600, 5);
+  t.params.decomp = {3, 3, 3};
+  t.params.threads = 1;
+  const Result rep =
+      estimate(t.points, t.domain, t.params, Algorithm::kPBSymPDSchedRep);
+  ASSERT_DOUBLE_EQ(rep.diag.replication_factor, 1.0);
+  const Result sched =
+      estimate(t.points, t.domain, t.params, Algorithm::kPBSymPDSched);
+  EXPECT_EQ(sched.grid.max_abs_diff(rep.grid), 0.0);
+  EXPECT_EQ(sched.diag.algorithm, "PB-SYM-PD-SCHED");
+  EXPECT_EQ(sched.diag.num_colors, rep.diag.num_colors);
+  EXPECT_DOUBLE_EQ(sched.diag.replication_factor, 1.0);
+  EXPECT_EQ(sched.diag.extra_bytes, 0u);
+  EXPECT_EQ(sched.diag.task_seconds.size(),
+            static_cast<std::size_t>(sched.diag.subdomains));
+  // T1 and Tinf in point units: T1 is the point count.
+  EXPECT_DOUBLE_EQ(sched.diag.total_work, 600.0);
+  EXPECT_EQ(sched.phases.phases(),
+            (std::vector<std::string>{"bin", "plan", "init", "compute"}));
+}
+
 TEST(Estimator, FacadeAndFreeFunctionAgree) {
   TinyInstance t = make_tiny(80, 3, 2);
   const Estimator est(Algorithm::kPBSym, t.params);

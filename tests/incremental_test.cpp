@@ -178,7 +178,7 @@ TEST(Incremental, RemoveOfUntrackedEventIsANoOp) {
 
 // Every thread count and schedule of the shared tile engine must be
 // numerically equivalent to the serial walk: same feed, snapshots within
-// 1e-5 relative, for P in {1, 2, 4} over the three schedules.
+// 1e-5 relative, for P in {1, 2, 4} over both schedules.
 TEST(Incremental, ShardedIngestMatchesSerial) {
   const auto t = make_tiny(400, 3, 2);
   PointSet stream = t.points;
@@ -191,15 +191,14 @@ TEST(Incremental, ShardedIngestMatchesSerial) {
     detail::TileSchedule schedule;
   };
   // The default 1 MiB budget makes the whole tiny grid one 2Hs-safe tile,
-  // so P > 1 runs parity waves on the finest safe tiling (4x3); one-column
-  // budget tiles are narrower than 2Hs, and at P = 4 that 4x3 tiling cannot
-  // give each wave a tile per worker, so the plan keeps them and runs halo
-  // buffers.
+  // so P > 1 runs parity waves on the finest safe tiling (4x3); the budget
+  // only sizes the serial walk, so one-column budget tiles, narrower than
+  // 2Hs, run the same parity waves at P = 4.
   const std::vector<Engine> engines = {
       {1, TileParams{}.tile_bytes, detail::TileSchedule::kSerial},
       {2, TileParams{}.tile_bytes, detail::TileSchedule::kParityWave},
       {4, TileParams{}.tile_bytes, detail::TileSchedule::kParityWave},
-      {4, 1, detail::TileSchedule::kHaloBuffer},
+      {4, 1, detail::TileSchedule::kParityWave},
   };
   std::vector<std::unique_ptr<IncrementalEstimator>> incs;
   for (const Engine& e : engines) {
@@ -237,7 +236,7 @@ TEST(Incremental, ShardedIngestMatchesSerial) {
     EXPECT_LE(incs[i]->snapshot().max_abs_diff(ref), 1e-5 * peak);
     // The 80-point batches are clustered enough that some tile exceeds the
     // max(32, n/(2P)) threshold: the parity schedule's hotspot pre-wave
-    // runs from the input alone. Only parity waves split hotspots.
+    // runs from the input alone. The serial walk splits nothing.
     if (engines[i].schedule == detail::TileSchedule::kParityWave)
       EXPECT_GT(incs[i]->stats().replica_tasks, 0u);
     else
@@ -293,9 +292,6 @@ TEST(Incremental, CheckpointRebuildsAndStaysAccurate) {
   const auto t = make_tiny(1, 3, 2);
   StreamConfig cfg;
   cfg.checkpoint_retires = 64;  // rebuild every ~64 retired events
-  // This stream deliberately runs past the temporal domain (clamped-voxel
-  // scatter, matching the batch reference); admission would quarantine it.
-  cfg.admission = false;
   IncrementalEstimator inc(t.domain, t.params, cfg);
   PointSet stream;
   for (int i = 0; i < 400; ++i)
@@ -308,10 +304,20 @@ TEST(Incremental, CheckpointRebuildsAndStaysAccurate) {
     inc.advance_window(batch, batch.back().t - window);
   }
   EXPECT_GE(inc.stats().checkpoints, 1u);
+  // The stream runs to t = 19.95, past the domain's 16 + ht = 18: admission
+  // quarantines the events beyond, and the live set is the admitted rest.
+  const double t_max = t.domain.t0 + t.domain.gt + t.params.ht;
   PointSet live;
+  std::uint64_t beyond = 0;
   const double cutoff = stream.back().t - window;
-  for (const auto& p : stream)
-    if (p.t >= cutoff) live.push_back(p);
+  for (const auto& p : stream) {
+    if (p.t > t_max)
+      ++beyond;
+    else if (p.t >= cutoff)
+      live.push_back(p);
+  }
+  ASSERT_GT(beyond, 0u);
+  EXPECT_EQ(inc.stats().quarantined_domain, beyond);
   ASSERT_EQ(inc.live_count(), live.size());
   const Result batch = estimate(live, t.domain, t.params, Algorithm::kPBSym);
   EXPECT_LE(inc.snapshot().max_abs_diff(batch.grid),

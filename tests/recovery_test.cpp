@@ -576,17 +576,6 @@ TEST(Quarantine, RingIsBoundedAndCountsEvictions) {
   EXPECT_EQ(est.health().quarantine_dropped, 3u);
 }
 
-TEST(Quarantine, LegacyModeAdmitsEverything) {
-  const auto tiny = stkde::testing::make_tiny(8, 3, 2);
-  core::StreamConfig cfg;
-  cfg.admission = false;
-  core::IncrementalEstimator est(tiny.domain, tiny.params, cfg);
-  // Out-of-domain events clamp-scatter as before; nothing is quarantined.
-  est.add({{5, 5, 5}, {500, 500, 5}});
-  EXPECT_EQ(est.live_count(), 2u);
-  EXPECT_EQ(est.health().quarantined_total(), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Serve-side graceful degradation
 

@@ -517,21 +517,20 @@ class SteppingClock final : public util::Clock {
 };
 
 TEST(Executor, ExpensiveQueryIsCancelledBetweenGridRows) {
-  const DomainSpec dom = small_domain(/*gx=*/40, /*gy=*/8, /*gt=*/4);
+  const DomainSpec dom = small_domain(/*gx=*/320, /*gy=*/8, /*gt=*/4);
   serve::SnapshotRegistry reg(dom);
   publish_uniform(reg, dom, 1);
   sched::ThreadPool pool(1);
   SteppingClock clock(milliseconds{1});  // every look at the clock costs 1 ms
   serve::ExecutorConfig cfg;
   cfg.session.request_deadline = milliseconds{10};
-  cfg.grid_rows_per_check = 1;  // poll between every X-row
   serve::RequestExecutor exec(reg, pool, cfg, &clock);
 
-  // 40 X-rows at 1 ms per cancellation poll exhausts the 10 ms deadline
-  // mid-scan: the request must come back kDeadlineExceeded from *inside*
-  // the grid loop, not run to completion.
+  // 40 slabs of 8 X-rows at 1 ms per cancellation poll exhaust the 10 ms
+  // deadline mid-scan: the request must come back kDeadlineExceeded from
+  // *inside* the grid loop, not run to completion.
   const wire::Frame f =
-      frame_of(wire::RegionGridQuery{Extent3{0, 40, 0, 8, 0, 4}});
+      frame_of(wire::RegionGridQuery{Extent3{0, 320, 0, 8, 0, 4}});
   (void)expect_error(exec.submit(f.data(), f.size()).get(),
                      wire::ErrorCode::kDeadlineExceeded);
   exec.drain();

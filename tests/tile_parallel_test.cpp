@@ -1,4 +1,4 @@
-// Parallel PB-TILE: the parity-wave and halo-buffer tile schedules
+// Parallel PB-TILE: the parity-wave tile schedule
 // (core/detail/tile_scatter.hpp) against the serial engine.
 //
 // The keystone assertions are equivalences — the parallel walk is a
@@ -70,20 +70,19 @@ TEST(TilePlan, PicksSerialParityAndHalo) {
   EXPECT_EQ(coarse.schedule, core::detail::TileSchedule::kParityWave);
   EXPECT_EQ(coarse.tiles.a(), 4);
   EXPECT_EQ(coarse.tiles.b(), 3);
-  // One-column tiles violate the 2Hs rule; the safe 4x3 tiling is taken
-  // while its smallest parity wave still feeds every worker (P=2:
-  // floor(4/2)*floor(3/2) = 2 tiles)...
+  // One-column budget tiles violate the 2Hs rule, and the budget only
+  // sizes the serial walk: every P > 1 runs parity waves on the safe 4x3
+  // tiling, even where its smallest wave holds fewer tiles than workers
+  // (P=4: floor(4/2)*floor(3/2) = 2 tiles).
   cfg.tile_bytes = 1;
-  const auto reclamped =
-      core::detail::plan_tile_schedule(dims, 0, sizeof(float), cfg, 2, 3, 2);
-  EXPECT_EQ(reclamped.schedule, core::detail::TileSchedule::kParityWave);
-  EXPECT_EQ(reclamped.tiles.a(), 4);
-  EXPECT_EQ(reclamped.tiles.b(), 3);
-  // ...and falls back to halo buffers when it would not (P=4: 2 < 4).
-  const auto halo =
-      core::detail::plan_tile_schedule(dims, 0, sizeof(float), cfg, 4, 3, 2);
-  EXPECT_EQ(halo.schedule, core::detail::TileSchedule::kHaloBuffer);
-  EXPECT_EQ(halo.tiles.a(), dims.gx);  // the byte-budget tiling is kept
+  for (const int P : {2, 4}) {
+    const auto narrow =
+        core::detail::plan_tile_schedule(dims, 0, sizeof(float), cfg, P, 3, 2);
+    EXPECT_EQ(narrow.schedule, core::detail::TileSchedule::kParityWave)
+        << "P=" << P;
+    EXPECT_EQ(narrow.tiles.a(), 4) << "P=" << P;
+    EXPECT_EQ(narrow.tiles.b(), 3) << "P=" << P;
+  }
 }
 
 // --- Parallel-vs-serial equivalence, all kernels ----------------------------
@@ -105,14 +104,14 @@ TEST_P(TileParallelKernelTest, ParallelMatchesSerialAcrossThreadCounts) {
     EXPECT_EQ(r.diag.tile_threads, P);
     EXPECT_GT(r.diag.table_lookups, 0);
   }
-  // Narrow tiles (one grid column each, far below 2Hs) at P=4: the
-  // owner-computes halo-buffer fallback, still at 1e-5.
+  // A narrow budget (one grid column per tile, far below 2Hs) at P=4: the
+  // same parity waves on the safe tiling, still at 1e-5.
   t.params.tile.threads = 4;
   t.params.tile.tile_bytes = 1;
-  const Result halo = estimate(t.points, t.domain, t.params, Algorithm::kPBTile);
-  EXPECT_EQ(halo.diag.tile_schedule, "halo-buffer");
-  EXPECT_LE(halo.grid.max_abs_diff(serial.grid), tol);
-  EXPECT_GT(halo.diag.extra_bytes, 0u);  // halo buffers were accounted
+  const Result narrow =
+      estimate(t.points, t.domain, t.params, Algorithm::kPBTile);
+  EXPECT_EQ(narrow.diag.tile_schedule, "parity-wave");
+  EXPECT_LE(narrow.grid.max_abs_diff(serial.grid), tol);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -142,8 +141,35 @@ TEST(TileParallel, WaveSchedulesAreBitwiseDeterministic) {
   t.params.tile.tile_bytes = 1;
   const Result c = estimate(t.points, t.domain, t.params, Algorithm::kPBTile);
   const Result d = estimate(t.points, t.domain, t.params, Algorithm::kPBTile);
-  ASSERT_EQ(c.diag.tile_schedule, "halo-buffer");
+  ASSERT_EQ(c.diag.tile_schedule, "parity-wave");
   EXPECT_EQ(c.grid.max_abs_diff(d.grid), 0.0);
+  t.params.tile.threads = 1;
+  const Result serial =
+      estimate(t.points, t.domain, t.params, Algorithm::kPBTile);
+  EXPECT_LE(c.grid.max_abs_diff(serial.grid),
+            rel_tolerance(serial.grid, 1e-5));
+}
+
+// --- Replica buffers ---------------------------------------------------------
+
+TEST(TileParallel, HotspotReplicaBuffersAreReported) {
+  // Every point packed into one tile of the 4x3 parity tiling (x, y < 6
+  // voxels): that tile holds all n = 200 points, above max(32, n/(2P)) =
+  // 32 at P=4, so the pre-wave splits it across P replica tasks, each
+  // writing a private halo buffer alive until the tile's wave folds it.
+  TinyInstance t = parity_instance(1);
+  t.points.clear();
+  for (int i = 0; i < 200; ++i)
+    t.points.push_back(Point{0.5 + (i % 5), 0.5 + (i / 5) % 5, 0.5 + i % 16});
+  t.params.tile.threads = 4;
+  const Result r = estimate(t.points, t.domain, t.params, Algorithm::kPBTile);
+  ASSERT_EQ(r.diag.tile_schedule, "parity-wave");
+  EXPECT_GT(r.diag.extra_bytes, 0u);
+  t.params.tile.threads = 1;
+  const Result serial =
+      estimate(t.points, t.domain, t.params, Algorithm::kPBTile);
+  EXPECT_EQ(serial.diag.extra_bytes, 0u);
+  EXPECT_LE(r.grid.max_abs_diff(serial.grid), rel_tolerance(serial.grid, 1e-5));
 }
 
 // --- Streaming reuse --------------------------------------------------------

@@ -2,7 +2,7 @@
 /// core (src/core/, src/kernels/, src/partition/).
 ///
 /// Origin: PR 5's acceptance is *bitwise* parallel determinism — the
-/// parity-wave and halo-buffer schedules must reproduce the serial result
+/// parity-wave tile schedule must reproduce the serial result
 /// bit for bit, across thread counts. That guarantee dies quietly the day
 /// someone seeds from the wall clock, calls rand(), or accumulates floats
 /// through an unordered std::atomic (FP addition does not commute in
