@@ -24,7 +24,6 @@
 #include "data/datasets.hpp"
 #include "data/generator.hpp"
 #include "kernels/bandwidth.hpp"
-#include "util/env.hpp"
 #include "util/rng.hpp"
 
 using namespace stkde;
@@ -74,7 +73,7 @@ std::string hex(std::uint64_t v) {
 int main(int argc, char** argv) {
   const bench::CliOptions cli = bench::parse_cli(argc, argv);
   const bench::BenchEnv env = bench::bench_env(cli);
-  const bool smoke = cli.smoke || util::env_flag("STKDE_BENCH_FAST");
+  const bool smoke = env.smoke;
 
   const HashInstance instances[] = {
       smoke ? HashInstance{"pollen-snapped", data::Dataset::kPollenUS,

@@ -34,8 +34,10 @@ namespace {
 BenchEnv make_env(bool smoke) {
   BenchEnv env;
   double scale = util::env_double("STKDE_BENCH_SCALE", 1.0);
-  // --smoke and STKDE_BENCH_FAST=1 apply the same reduction.
-  if (smoke || util::env_flag("STKDE_BENCH_FAST")) scale = std::min(scale, 0.05);
+  // --smoke and STKDE_BENCH_FAST=1 apply the same reduction. The variable
+  // is read even under --smoke, so a malformed value is always reported.
+  env.smoke = util::env_flag("STKDE_BENCH_FAST") || smoke;
+  if (env.smoke) scale = std::min(scale, 0.05);
   scale = std::clamp(scale, 1e-3, 100.0);
   env.budget.voxel_cap =
       static_cast<std::int64_t>(12'000'000.0 * scale);

@@ -34,6 +34,7 @@ struct BenchEnv {
   int real_threads = 1;          ///< threads used for the real measured run
   double memory_parallel_cap = 3.0;
   double max_cell_work = 2.5e9;  ///< skip cells costlier than this (ops)
+  bool smoke = false;            ///< --smoke or STKDE_BENCH_FAST set
 
   [[nodiscard]] std::string describe() const;
 };
@@ -58,8 +59,9 @@ struct CliOptions {
 
 /// Read the environment, apply the CLI, and build the bench configuration
 /// (--smoke shrinks the budget the same way STKDE_BENCH_FAST=1 does). A
-/// numeric variable whose whole value does not parse prints the reason and
-/// the usage on stderr and exits 2, like a bad flag.
+/// numeric variable whose whole value does not parse, or a STKDE_BENCH_FAST
+/// that is not a flag value (util::env_flag), prints the reason and the
+/// usage on stderr and exits 2, like a bad flag.
 [[nodiscard]] BenchEnv bench_env(const CliOptions& cli);
 
 /// Machine-readable JSON artifact: named tables (serialized row-by-row with

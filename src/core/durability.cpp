@@ -1,15 +1,12 @@
 #include "core/durability.hpp"
 
-#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <sstream>
 #include <stdexcept>
-#include <vector>
 
+#include "io/bytes.hpp"
 #include "io/checked_io.hpp"
-#include "io/grid_io.hpp"
 #include "util/crc32.hpp"
 #include "util/failpoint.hpp"
 
@@ -21,37 +18,9 @@ namespace {
 
 constexpr char kCkptMagic[8] = {'S', 'T', 'K', 'D', 'E', 'C', 'P', '1'};
 
-void put_u64(std::vector<std::uint8_t>& b, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    b.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-void put_f64(std::vector<std::uint8_t>& b, double v) {
-  put_u64(b, std::bit_cast<std::uint64_t>(v));
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-double get_f64(const std::uint8_t* p) {
-  return std::bit_cast<double>(get_u64(p));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
 /// Write + flush + fsync + close \p bytes at \p path; throws on failure
 /// (io/checked_io.hpp, so short writes carry errno's text).
-void write_file_durably(const std::string& path,
-                        const std::vector<std::uint8_t>& bytes) {
+void write_file_durably(const std::string& path, const io::Bytes& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) io::throw_io_error("durability", "open for write", path);
   try {
@@ -63,21 +32,6 @@ void write_file_durably(const std::string& path,
     throw;
   }
   std::fclose(f);
-}
-
-std::vector<std::uint8_t> read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr)
-    throw std::runtime_error("durability: cannot read " + path);
-  std::fseek(f, 0, SEEK_END);
-  const long end = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::vector<std::uint8_t> buf(static_cast<std::size_t>(end > 0 ? end : 0));
-  const bool ok =
-      buf.empty() || std::fread(buf.data(), 1, buf.size(), f) == buf.size();
-  std::fclose(f);
-  if (!ok) throw std::runtime_error("durability: short read on " + path);
-  return buf;
 }
 
 }  // namespace
@@ -132,26 +86,18 @@ void DurableLog::checkpoint(std::uint64_t last_seq, double last_cutoff,
 
   // Assemble the full file (checkpoints are grid-sized; the copy is the
   // price of a single-pass CRC and a single durable write).
-  std::vector<std::uint8_t> bytes;
+  io::Bytes bytes;
+  bytes.reserve(sizeof(kCkptMagic) + 4 * 8 + live.size() * io::kPointBytes +
+                io::grid_payload_bytes(grid) + 4);
   bytes.insert(bytes.end(), kCkptMagic, kCkptMagic + sizeof(kCkptMagic));
-  put_u64(bytes, next_gen);
-  put_u64(bytes, last_seq);
-  put_f64(bytes, last_cutoff);
-  put_u64(bytes, live.size());
-  for (const Point& p : live) {
-    put_f64(bytes, p.x);
-    put_f64(bytes, p.y);
-    put_f64(bytes, p.t);
-  }
-  std::ostringstream gout(std::ios::binary);
-  io::save_grid(gout, grid);
-  const std::string gbytes = gout.str();
-  bytes.insert(bytes.end(), gbytes.begin(), gbytes.end());
-  const std::uint32_t crc =
-      util::crc32(bytes.data() + sizeof(kCkptMagic),
-                  bytes.size() - sizeof(kCkptMagic));
-  for (int i = 0; i < 4; ++i)
-    bytes.push_back(static_cast<std::uint8_t>((crc >> (8 * i)) & 0xff));
+  io::put_u64(bytes, next_gen);
+  io::put_u64(bytes, last_seq);
+  io::put_f64(bytes, last_cutoff);
+  io::put_u64(bytes, live.size());
+  for (const Point& p : live) io::put_point(bytes, p);
+  io::put_grid(bytes, grid);
+  io::put_u32(bytes, util::crc32(bytes.data() + sizeof(kCkptMagic),
+                                 bytes.size() - sizeof(kCkptMagic)));
 
   write_file_durably(tmp_path(), bytes);
   // The next generation's log must exist before the commit: after the
@@ -176,38 +122,29 @@ DurableLog::Recovered DurableLog::recover() {
   STKDE_FAILPOINT("durable.recover");
   Recovered r;
   if (fs::exists(ckpt_path())) {
-    const std::vector<std::uint8_t> bytes = read_file(ckpt_path());
+    const io::Bytes bytes = io::read_file(ckpt_path(), "durability");
     constexpr std::size_t kFixed = sizeof(kCkptMagic) + 8 + 8 + 8 + 8;
     if (bytes.size() < kFixed + 4 ||
         std::memcmp(bytes.data(), kCkptMagic, sizeof(kCkptMagic)) != 0)
       throw std::runtime_error("durability: corrupt checkpoint (header) in " +
                                dir_);
-    const std::uint32_t want = get_u32(bytes.data() + bytes.size() - 4);
-    const std::uint32_t got =
-        util::crc32(bytes.data() + sizeof(kCkptMagic),
-                    bytes.size() - sizeof(kCkptMagic) - 4);
-    if (want != got)
+    // Everything between the magic and the trailing CRC.
+    io::Reader in{bytes.data() + sizeof(kCkptMagic),
+                  bytes.size() - sizeof(kCkptMagic) - 4};
+    io::Reader crc{in.p + in.n, 4};
+    if (crc.u32() != util::crc32(in.p, in.n))
       throw std::runtime_error("durability: corrupt checkpoint (CRC) in " +
                                dir_);
-    const std::uint8_t* p = bytes.data() + sizeof(kCkptMagic);
-    r.gen = get_u64(p);
-    r.last_seq = get_u64(p + 8);
-    r.last_cutoff = get_f64(p + 16);
-    const std::uint64_t n = get_u64(p + 24);
-    const std::size_t points_bytes = static_cast<std::size_t>(n) * 24;
-    if (bytes.size() < kFixed + points_bytes + 4)
+    r.gen = in.u64();
+    r.last_seq = in.u64();
+    r.last_cutoff = in.f64();
+    const std::uint64_t n = in.u64();
+    if (n > in.remaining() / io::kPointBytes)
       throw std::runtime_error("durability: corrupt checkpoint (points) in " +
                                dir_);
-    p += 32;
     r.live.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i, p += 24)
-      r.live.push_back(Point{get_f64(p), get_f64(p + 8), get_f64(p + 16)});
-    std::istringstream gin(
-        std::string(reinterpret_cast<const char*>(p),
-                    bytes.size() - 4 - static_cast<std::size_t>(
-                                           p - bytes.data())),
-        std::ios::binary);
-    r.grid = io::load_grid(gin);  // throws on a bad grid payload
+    for (std::uint64_t i = 0; i < n; ++i) r.live.push_back(in.point());
+    r.grid = io::read_grid(in, ckpt_path());  // throws on a bad grid payload
     r.have_checkpoint = true;
     gen_ = r.gen;
   } else {

@@ -7,7 +7,7 @@
 ///   <dir>/checkpoint.ck   full state at some generation g
 ///   <dir>/wal.<g>.log     every batch logged after that checkpoint
 ///
-/// Checkpoint file layout (little-endian):
+/// Checkpoint file layout (little-endian, through io/bytes.hpp):
 ///   [0, 8)  magic "STKDECP1"
 ///   u64 gen, u64 last_seq, f64 last_cutoff
 ///   u64 live_count, live_count x { f64 x, f64 y, f64 t }

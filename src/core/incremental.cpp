@@ -155,7 +155,8 @@ void IncrementalEstimator::quarantine_event(const Point& p,
   quarantine_.push_back(QuarantinedEvent{p, reason});
 }
 
-PointSet IncrementalEstimator::admit(const PointSet& batch) {
+PointSet IncrementalEstimator::admit(const PointSet& batch,
+                                     double watermark) {
   PointSet ok;
   ok.reserve(batch.size());
   // One bandwidth: events farther off the box cannot touch any voxel.
@@ -170,7 +171,7 @@ PointSet IncrementalEstimator::admit(const PointSet& batch) {
     } else if (p.x < xlo || p.x > xhi || p.y < ylo || p.y > yhi ||
                p.t < tlo || p.t > thi) {
       quarantine_event(p, QuarantineReason::kOutOfDomain);
-    } else if (p.t < last_cutoff_) {
+    } else if (p.t < watermark) {
       // Dead on arrival: counted, and tracked in the quarantine ring.
       ++stats_.dead_on_arrival;
       quarantine_event(p, QuarantineReason::kStale);
@@ -257,7 +258,7 @@ void IncrementalEstimator::refresh_wal_health() {
 void IncrementalEstimator::add(const PointSet& batch) {
   guarded([&] {
     STKDE_FAILPOINT("stream.add");
-    const PointSet admitted = admit(batch);
+    const PointSet admitted = admit(batch, last_cutoff_);
     try {
       apply(admitted, +1.0);
     } catch (const util::InjectedCrash&) {
@@ -315,12 +316,12 @@ std::size_t IncrementalEstimator::advance_window(const PointSet& incoming,
   std::size_t out = 0;
   guarded([&] {
     STKDE_FAILPOINT("stream.advance");
-    last_cutoff_ = std::max(last_cutoff_, cutoff);
     // Events already past the cutoff must never enter the grid: under the
     // old arrival-order deque they were added and could never be popped,
     // biasing the density permanently.
+    const double watermark = std::max(last_cutoff_, cutoff);
     const std::uint64_t dead_before = stats_.dead_on_arrival;
-    const PointSet fresh = admit(incoming);
+    const PointSet fresh = admit(incoming, watermark);
     const auto dead =
         static_cast<std::size_t>(stats_.dead_on_arrival - dead_before);
     try {
@@ -328,9 +329,10 @@ std::size_t IncrementalEstimator::advance_window(const PointSet& incoming,
     } catch (const util::InjectedCrash&) {
       throw;
     } catch (...) {
-      recover_staging();  // fresh not yet indexed: discarded
+      recover_staging();  // fresh not yet indexed: discarded, watermark kept
       throw;
     }
+    last_cutoff_ = watermark;  // commits with the batch
     for (const Point& p : fresh) index_add(p);
     stats_.added += fresh.size();
 

@@ -48,7 +48,10 @@
 /// stats().recoveries) and the exception propagates. The engine stays
 /// consistent — grid, index, and stats() always agree: additions not yet
 /// recorded in the index are discarded; retirements/removals already
-/// recorded remain in effect.
+/// recorded remain in effect. An advance_window() whose fresh batch fails
+/// to scatter leaves the window's watermark (last_cutoff()) where it was:
+/// the cutoff commits together with the batch, so the slide is discarded
+/// whole, as it is from the WAL.
 /// Readers keep the last published snapshot until the next successful
 /// operation publishes again.
 ///
@@ -311,7 +314,8 @@ class IncrementalEstimator {
   /// feeder's exactly-once resume point after recover().
   [[nodiscard]] std::uint64_t batch_seq() const { return batch_seq_; }
 
-  /// The newest advance_window cutoff (admission's staleness watermark).
+  /// The newest committed advance_window cutoff (admission's staleness
+  /// watermark); a slide whose batch failed to scatter does not move it.
   [[nodiscard]] double last_cutoff() const { return last_cutoff_; }
 
   /// Snapshot of the quarantine ring (newest last). Thread-safe.
@@ -410,9 +414,9 @@ class IncrementalEstimator {
   template <typename F>
   void guarded(F&& op);
   /// Admission filter: returns the admitted subset of \p batch and routes
-  /// rejects to the quarantine ring (stale ones also count as
-  /// dead_on_arrival).
-  [[nodiscard]] PointSet admit(const PointSet& batch);
+  /// rejects to the quarantine ring (events older than \p watermark are
+  /// stale and also count as dead_on_arrival).
+  [[nodiscard]] PointSet admit(const PointSet& batch, double watermark);
   void quarantine_event(const Point& p, QuarantineReason reason)
       STKDE_EXCLUDES(quarantine_mu_);
   /// Append one batch record to the WAL (no-op without durability) and

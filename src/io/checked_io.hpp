@@ -1,7 +1,7 @@
 #pragma once
 /// \file checked_io.hpp
 /// The one checked stdio error path for the durability layer (io/wal.cpp,
-/// core/durability.cpp).
+/// core/durability.cpp) and the codec's whole-file reader (io/bytes.cpp).
 ///
 /// Raw fopen/fwrite error handling was previously duplicated at every call
 /// site, each with a slightly different (and errno-less) message; a short

@@ -1,83 +1,25 @@
 #include "io/grid_io.hpp"
 
-#include <array>
-#include <cstring>
 #include <fstream>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
 
+#include "io/bytes.hpp"
 #include "io/checked_io.hpp"
 
 namespace stkde::io {
 
-namespace {
-constexpr char kMagic[8] = {'S', 'T', 'K', 'D', 'E', 'G', '1', '\0'};
-}
-
-std::uint64_t grid_payload_bytes(const DensityGrid& grid) {
-  return sizeof(kMagic) + 6 * sizeof(std::int32_t) +
-         static_cast<std::uint64_t>(grid.extent().volume()) * sizeof(float);
-}
-
-void save_grid(std::ostream& out, const DensityGrid& grid) {
-  // Checkpoint/recovery feeds through here (core/durability.cpp), so every
-  // write is checked: a short write mid-payload must fail the save, not
-  // surface later as a truncated checkpoint that recovery half-loads.
-  checked_stream_write(out, kMagic, sizeof(kMagic), "grid_io", "stream");
-  const Extent3& e = grid.extent();
-  const std::array<std::int32_t, 6> hdr = {e.xlo, e.xhi, e.ylo,
-                                           e.yhi, e.tlo, e.thi};
-  checked_stream_write(out, hdr.data(), sizeof(hdr), "grid_io", "stream");
-  if (grid.padded()) {
-    // The on-disk payload is always dense: write row by row, skipping the
-    // in-memory alignment padding, so padded and packed grids round-trip to
-    // identical files.
-    const std::size_t row_bytes = sizeof(float) * static_cast<std::size_t>(e.nt());
-    for (std::int32_t X = e.xlo; X < e.xhi; ++X)
-      for (std::int32_t Y = e.ylo; Y < e.yhi; ++Y)
-        checked_stream_write(out, grid.row(X, Y), row_bytes, "grid_io",
-                             "stream");
-  } else {
-    checked_stream_write(out, grid.data(), grid.bytes(), "grid_io", "stream");
-  }
-}
-
 void save_grid(const std::string& path, const DensityGrid& grid) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("grid_io: cannot open " + path);
-  try {
-    save_grid(out, grid);
-  } catch (const std::runtime_error&) {
-    throw std::runtime_error("grid_io: write failed: " + path);
-  }
-}
-
-DensityGrid load_grid(std::istream& in) {
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-    throw std::runtime_error("grid_io: bad magic");
-  std::array<std::int32_t, 6> hdr{};
-  in.read(reinterpret_cast<char*>(hdr.data()), sizeof(hdr));
-  if (!in) throw std::runtime_error("grid_io: truncated header");
-  const Extent3 e{hdr[0], hdr[1], hdr[2], hdr[3], hdr[4], hdr[5]};
-  if (e.empty()) throw std::runtime_error("grid_io: empty extent");
-  DensityGrid grid(e);
-  in.read(reinterpret_cast<char*>(grid.data()),
-          static_cast<std::streamsize>(grid.bytes()));
-  if (!in) throw std::runtime_error("grid_io: truncated payload");
-  return grid;
+  write_grid(grid, [&](const void* data, std::size_t n) {
+    checked_stream_write(out, data, n, "grid_io", path);
+  });
 }
 
 DensityGrid load_grid(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("grid_io: cannot open " + path);
-  try {
-    return load_grid(in);
-  } catch (const std::runtime_error& e) {
-    throw std::runtime_error(std::string(e.what()) + " in " + path);
-  }
+  const Bytes bytes = read_file(path, "grid_io");
+  Reader r{bytes.data(), bytes.size()};
+  return read_grid(r, path);
 }
 
 }  // namespace stkde::io

@@ -1,9 +1,10 @@
 #pragma once
 /// \file grid_io.hpp
-/// Raw binary snapshot of a density grid (little-endian, fixed header) —
-/// used to checkpoint results, to diff runs across strategies, and as the
-/// dense grid payload embedded in the serve layer's wire frames
-/// (serve/wire.hpp).
+/// Raw binary snapshot of a density grid (little-endian on any host, fixed
+/// header) — used to checkpoint results and to diff runs across
+/// strategies. The same dense payload rides inside checkpoints
+/// (core/durability.hpp) and the serve layer's RegionGrid frames
+/// (serve/wire.hpp); all three encode and decode it through io/bytes.hpp.
 ///
 /// Payload layout: 8-byte magic "STKDEG1\0", six int32 extent bounds
 /// (xlo, xhi, ylo, yhi, tlo, thi), then nx*ny*nt floats in the grid's
@@ -11,29 +12,22 @@
 /// (RowPad::kCacheLine) are written row by row with the alignment padding
 /// skipped, so padded and packed grids produce identical bytes.
 
-#include <iosfwd>
 #include <string>
 
 #include "grid/dense_grid.hpp"
 
 namespace stkde::io {
 
-/// Bytes save_grid() will produce for \p grid (header + dense payload).
-[[nodiscard]] std::uint64_t grid_payload_bytes(const DensityGrid& grid);
-
-/// Write grid dims + float payload to a binary stream. Throws
-/// std::runtime_error on I/O error.
-void save_grid(std::ostream& out, const DensityGrid& grid);
-
-/// File convenience wrapper. Throws std::runtime_error on I/O error.
+/// Write \p grid's payload to the file at \p path, streamed from the grid
+/// (no copy of it is built). Throws std::runtime_error on I/O error.
 void save_grid(const std::string& path, const DensityGrid& grid);
 
-/// Load a grid saved by save_grid(). Throws std::runtime_error on a bad
-/// magic/format or truncated payload. The loaded grid is packed (RowPad
+/// Load a grid saved by save_grid(). Throws std::runtime_error when the
+/// file cannot be read or is not a grid file: a bad magic, a header with
+/// an empty or inverted axis, or an extent whose floats do not fill the
+/// file exactly. A hostile header throws before anything is allocated;
+/// every grid save_grid() writes loads. The loaded grid is packed (RowPad
 /// is storage-only and never round-trips).
-[[nodiscard]] DensityGrid load_grid(std::istream& in);
-
-/// File convenience wrapper; same failure contract.
 [[nodiscard]] DensityGrid load_grid(const std::string& path);
 
 }  // namespace stkde::io

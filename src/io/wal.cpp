@@ -1,11 +1,10 @@
 #include "io/wal.hpp"
 
-#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
-#include <vector>
 
+#include "io/bytes.hpp"
 #include "io/checked_io.hpp"
 #include "util/crc32.hpp"
 #include "util/failpoint.hpp"
@@ -20,68 +19,20 @@ constexpr std::size_t kRecordHeaderBytes = 4 + 2 + 2 + 8 + 4;
 /// Allocation bound per record (a conforming batch never approaches it).
 constexpr std::uint32_t kMaxRecordPoints = 1u << 24;
 
-void put_u16(std::vector<std::uint8_t>& b, std::uint16_t v) {
-  b.push_back(static_cast<std::uint8_t>(v & 0xff));
-  b.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& b, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    b.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::vector<std::uint8_t>& b, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    b.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-void put_f64(std::vector<std::uint8_t>& b, double v) {
-  put_u64(b, std::bit_cast<std::uint64_t>(v));
-}
-
-std::uint16_t get_u16(const std::uint8_t* p) {
-  return static_cast<std::uint16_t>(p[0] |
-                                    (static_cast<std::uint16_t>(p[1]) << 8));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-double get_f64(const std::uint8_t* p) {
-  return std::bit_cast<double>(get_u64(p));
-}
-
 /// Serialize a record; bytes [4, end) are covered by the leading CRC.
-std::vector<std::uint8_t> encode_record(const WalRecord& rec) {
-  std::vector<std::uint8_t> b;
+Bytes encode_record(const WalRecord& rec) {
+  Bytes b;
   const bool advance = rec.type == WalRecordType::kAdvance;
-  b.reserve(kRecordHeaderBytes + (advance ? 8 : 0) + rec.points.size() * 24);
+  b.reserve(kRecordHeaderBytes + (advance ? 8 : 0) +
+            rec.points.size() * kPointBytes);
   put_u32(b, 0);  // CRC placeholder
   put_u16(b, static_cast<std::uint16_t>(rec.type));
   put_u16(b, 0);  // reserved
   put_u64(b, rec.seq);
   put_u32(b, static_cast<std::uint32_t>(rec.points.size()));
   if (advance) put_f64(b, rec.cutoff);
-  for (const Point& p : rec.points) {
-    put_f64(b, p.x);
-    put_f64(b, p.y);
-    put_f64(b, p.t);
-  }
-  const std::uint32_t crc = util::crc32(b.data() + 4, b.size() - 4);
-  for (int i = 0; i < 4; ++i)
-    b[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>((crc >> (8 * i)) & 0xff);
+  for (const Point& p : rec.points) put_point(b, p);
+  patch_u32(b, 0, util::crc32(b.data() + 4, b.size() - 4));
   return b;
 }
 
@@ -92,17 +43,7 @@ WalReplay read_wal(const std::string& path) {
   std::error_code ec;
   if (!std::filesystem::exists(path, ec)) return out;
 
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) throw std::runtime_error("wal: cannot open " + path);
-  std::fseek(f, 0, SEEK_END);
-  const long end = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::vector<std::uint8_t> buf(static_cast<std::size_t>(end > 0 ? end : 0));
-  if (!buf.empty() && std::fread(buf.data(), 1, buf.size(), f) != buf.size()) {
-    std::fclose(f);
-    throw std::runtime_error("wal: short read on " + path);
-  }
-  std::fclose(f);
+  const Bytes buf = read_file(path, "wal");
   out.file_bytes = buf.size();
 
   if (buf.size() < sizeof(kMagic)) {
@@ -118,43 +59,34 @@ WalReplay read_wal(const std::string& path) {
   std::size_t off = sizeof(kMagic);
   out.valid_bytes = off;
   while (off < buf.size()) {
-    if (buf.size() - off < kRecordHeaderBytes) {
+    // One reader per record, over the rest of the file: a short header
+    // latches r.fail, and a count the rest cannot hold fails the size check
+    // before anything is allocated.
+    Reader r{buf.data() + off, buf.size() - off};
+    const std::uint32_t crc = r.u32();
+    const std::uint16_t type = r.u16();
+    const std::uint16_t reserved = r.u16();
+    const std::uint64_t seq = r.u64();
+    const std::uint32_t count = r.u32();
+    if (r.fail || reserved != 0 || type < 1 || type > 3 ||
+        count > kMaxRecordPoints) {
       out.torn = true;
       break;
     }
-    const std::uint8_t* h = buf.data() + off;
-    const std::uint32_t crc = get_u32(h);
-    const std::uint16_t type = get_u16(h + 4);
-    const std::uint16_t reserved = get_u16(h + 6);
-    const std::uint64_t seq = get_u64(h + 8);
-    const std::uint32_t count = get_u32(h + 16);
-    if (reserved != 0 || type < 1 || type > 3 || count > kMaxRecordPoints) {
-      out.torn = true;
-      break;
-    }
-    const bool advance = type == static_cast<std::uint16_t>(WalRecordType::kAdvance);
-    const std::size_t body =
-        kRecordHeaderBytes + (advance ? 8 : 0) +
-        static_cast<std::size_t>(count) * 24;
-    if (buf.size() - off < body) {
-      out.torn = true;
-      break;
-    }
-    if (util::crc32(h + 4, body - 4) != crc) {
+    const bool advance =
+        type == static_cast<std::uint16_t>(WalRecordType::kAdvance);
+    const std::size_t body = kRecordHeaderBytes + (advance ? 8 : 0) +
+                             static_cast<std::size_t>(count) * kPointBytes;
+    if (r.n < body || util::crc32(r.p + 4, body - 4) != crc) {
       out.torn = true;
       break;
     }
     WalRecord rec;
     rec.type = static_cast<WalRecordType>(type);
     rec.seq = seq;
-    const std::uint8_t* p = h + kRecordHeaderBytes;
-    if (advance) {
-      rec.cutoff = get_f64(p);
-      p += 8;
-    }
+    if (advance) rec.cutoff = r.f64();
     rec.points.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i, p += 24)
-      rec.points.push_back(Point{get_f64(p), get_f64(p + 8), get_f64(p + 16)});
+    for (std::uint32_t i = 0; i < count; ++i) rec.points.push_back(r.point());
     out.records.push_back(std::move(rec));
     off += body;
     out.valid_bytes = off;
@@ -193,7 +125,7 @@ WalWriter::~WalWriter() {
 
 void WalWriter::append(const WalRecord& rec) {
   STKDE_FAILPOINT("wal.append");
-  const std::vector<std::uint8_t> b = encode_record(rec);
+  const Bytes b = encode_record(rec);
 #if defined(STKDE_FAILPOINTS) && STKDE_FAILPOINTS
   // Chaos hook for a *torn* append: land (and flush) a record prefix, then
   // give the failpoint its chance to kill the writer — recovery must

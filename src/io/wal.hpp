@@ -3,7 +3,7 @@
 /// Append-only binary write-ahead log of streaming events — the durability
 /// substrate behind IncrementalEstimator::recover() (core/durability.hpp).
 ///
-/// File layout (little-endian via raw struct-free byte emission):
+/// File layout (little-endian, encoded and decoded through io/bytes.hpp):
 ///
 ///   [0, 8)  magic "STKDEWL1"
 ///   then records, each:

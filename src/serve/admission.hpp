@@ -16,7 +16,9 @@
 ///
 /// Shedding policy, in decision order:
 ///   1. Writer-stall circuit breaker: when the registry's last publish is
-///      older than the stall threshold the estimator is presumed wedged —
+///      older than the stall threshold (the executor's
+///      SessionConfig::stall_after, the same one that marks sessions
+///      kDegraded) the estimator is presumed wedged —
 ///      expensive queries are shed outright (their answers age fastest and
 ///      cost most), while cheap/medium reads keep serving from last-good
 ///      pins (PR 7's degraded mode, now load-aware).
@@ -82,10 +84,6 @@ struct AdmissionConfig {
   /// alone bound the server).
   double session_rate = 0.0;
   double session_burst = 16.0;
-
-  /// Writer-stall circuit breaker: shed expensive queries when the
-  /// registry's last publish is older than this. 0 disables.
-  std::chrono::milliseconds stall_after{0};
 
   /// Floor for every retry-after hint (never advise an instant retry).
   std::chrono::milliseconds min_retry_after{1};

@@ -83,9 +83,8 @@ std::future<wire::Frame> RequestExecutor::submit(const std::uint8_t* data,
 
   // Registry lock taken before the executor lock (fixed order: never
   // nested the other way around).
-  const bool stalled =
-      cfg_.admission.stall_after.count() > 0 &&
-      reg_->publish_age() > cfg_.admission.stall_after;
+  const bool stalled = cfg_.session.stall_after.count() > 0 &&
+                       reg_->publish_age() > cfg_.session.stall_after;
 
   const auto now = clock_->now();
   const bool has_deadline = cfg_.session.request_deadline.count() > 0;

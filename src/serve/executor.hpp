@@ -65,7 +65,8 @@ struct ExecutorConfig {
 
   /// Per-request session policy. request_deadline is the end-to-end
   /// deadline each request carries through admission, queueing, and
-  /// execution; 0 means requests never expire.
+  /// execution; 0 means requests never expire. stall_after also trips the
+  /// admission's writer-stall breaker.
   SessionConfig session;
 };
 

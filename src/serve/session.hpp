@@ -45,7 +45,8 @@ struct SessionConfig {
   /// Writer-stall detector: when the registry's last publish is older than
   /// this, begin_request() tags the request kDegraded — the session still
   /// answers, from its last-good pin, but callers can see the data has
-  /// stopped advancing. 0 (default) disables the detector.
+  /// stopped advancing. RequestExecutor's breaker sheds expensive queries
+  /// on the same threshold. 0 (default) disables both.
   std::chrono::milliseconds stall_after{0};
 
   /// Seed for await_version()'s decorrelated-jitter backoff. Give each

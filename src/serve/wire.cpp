@@ -1,172 +1,37 @@
 #include "serve/wire.hpp"
 
-#include <bit>
 #include <cstring>
-#include <sstream>
 
-#include "io/grid_io.hpp"
+#include "io/bytes.hpp"
 
 namespace stkde::serve::wire {
 
 namespace {
 
+using io::Reader;
+
 constexpr std::uint8_t kMagic[4] = {'S', 'K', 'W', '1'};
-constexpr char kGridMagic[8] = {'S', 'T', 'K', 'D', 'E', 'G', '1', '\0'};
-/// Largest per-axis voxel count a wire grid/field may declare. Combined
-/// with the exact payload-length check this bounds every allocation by the
-/// frame size itself.
-constexpr std::int64_t kMaxDim = std::int64_t{1} << 21;
 constexpr std::size_t kHotspotRecordBytes = 32;
 constexpr std::uint32_t kMaxErrorMessageBytes = 1u << 16;
-
-// Little-endian emitters (explicit bytes: golden frames are host-agnostic).
-
-void put_u8(Frame& f, std::uint8_t v) { f.push_back(v); }
-
-void put_u16(Frame& f, std::uint16_t v) {
-  f.push_back(static_cast<std::uint8_t>(v & 0xff));
-  f.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(Frame& f, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    f.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(Frame& f, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    f.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-}
-
-void put_i32(Frame& f, std::int32_t v) {
-  put_u32(f, static_cast<std::uint32_t>(v));
-}
-
-void put_i64(Frame& f, std::int64_t v) {
-  put_u64(f, static_cast<std::uint64_t>(v));
-}
-
-void put_f32(Frame& f, float v) { put_u32(f, std::bit_cast<std::uint32_t>(v)); }
-
-void put_f64(Frame& f, double v) {
-  put_u64(f, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_extent(Frame& f, const Extent3& e) {
-  put_i32(f, e.xlo);
-  put_i32(f, e.xhi);
-  put_i32(f, e.ylo);
-  put_i32(f, e.yhi);
-  put_i32(f, e.tlo);
-  put_i32(f, e.thi);
-}
 
 /// Start a frame: header with a zero length placeholder.
 Frame begin_frame(MsgType type) {
   Frame f;
   f.reserve(kHeaderBytes);
   for (const std::uint8_t b : kMagic) f.push_back(b);
-  put_u16(f, static_cast<std::uint16_t>(type));
-  put_u16(f, 0);  // reserved
-  put_u32(f, 0);  // payload length, patched by end_frame
+  io::put_u16(f, static_cast<std::uint16_t>(type));
+  io::put_u16(f, 0);  // reserved
+  io::put_u32(f, 0);  // payload length, patched by end_frame
   return f;
 }
 
 void end_frame(Frame& f) {
-  const auto len = static_cast<std::uint32_t>(f.size() - kHeaderBytes);
-  for (int i = 0; i < 4; ++i)
-    f[8 + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>((len >> (8 * i)) & 0xff);
+  io::patch_u32(f, 8, static_cast<std::uint32_t>(f.size() - kHeaderBytes));
 }
-
-/// Bounds-checked little-endian cursor; any overrun latches fail.
-struct Reader {
-  const std::uint8_t* p;
-  std::size_t n;
-  std::size_t off = 0;
-  bool fail = false;
-
-  [[nodiscard]] std::size_t remaining() const { return n - off; }
-
-  bool need(std::size_t k) {
-    if (fail || n - off < k) {
-      fail = true;
-      return false;
-    }
-    return true;
-  }
-
-  std::uint8_t u8() {
-    if (!need(1)) return 0;
-    return p[off++];
-  }
-
-  std::uint16_t u16() {
-    if (!need(2)) return 0;
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i)
-      v |= static_cast<std::uint16_t>(p[off + static_cast<std::size_t>(i)])
-           << (8 * i);
-    off += 2;
-    return v;
-  }
-
-  std::uint32_t u32() {
-    if (!need(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(p[off + static_cast<std::size_t>(i)])
-           << (8 * i);
-    off += 4;
-    return v;
-  }
-
-  std::uint64_t u64() {
-    if (!need(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(p[off + static_cast<std::size_t>(i)])
-           << (8 * i);
-    off += 8;
-    return v;
-  }
-
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  float f32() { return std::bit_cast<float>(u32()); }
-  double f64() { return std::bit_cast<double>(u64()); }
-
-  Extent3 extent() {
-    Extent3 e;
-    e.xlo = i32();
-    e.xhi = i32();
-    e.ylo = i32();
-    e.yhi = i32();
-    e.tlo = i32();
-    e.thi = i32();
-    return e;
-  }
-};
 
 bool set_error(std::string* error, const char* reason) {
   if (error) *error = reason;
   return false;
-}
-
-/// Axis length check under int64 (xhi - xlo cannot overflow there).
-bool sane_axis(std::int32_t lo, std::int32_t hi, std::int64_t* len) {
-  *len = static_cast<std::int64_t>(hi) - lo;
-  return *len > 0 && *len <= kMaxDim;
-}
-
-/// Validated voxel count of a wire extent, or -1. Caps each axis before
-/// multiplying, so the product (<= 2^63) cannot overflow.
-std::int64_t checked_volume(const Extent3& e) {
-  std::int64_t nx = 0, ny = 0, nt = 0;
-  if (!sane_axis(e.xlo, e.xhi, &nx) || !sane_axis(e.ylo, e.yhi, &ny) ||
-      !sane_axis(e.tlo, e.thi, &nt))
-    return -1;
-  return nx * ny * nt;
 }
 
 /// Shared frame-level validation; returns the payload view or nullopt.
@@ -208,27 +73,25 @@ Frame encode(const QueryMessage& msg) {
         using T = std::decay_t<decltype(q)>;
         if constexpr (std::is_same_v<T, DensityAtQuery>) {
           Frame out = begin_frame(MsgType::kDensityAtQuery);
-          put_f64(out, q.at.x);
-          put_f64(out, q.at.y);
-          put_f64(out, q.at.t);
+          io::put_point(out, q.at);
           return out;
         } else if constexpr (std::is_same_v<T, RegionQuery>) {
           Frame out = begin_frame(MsgType::kRegionQuery);
-          put_extent(out, q.region);
-          put_u8(out, static_cast<std::uint8_t>(q.op));
+          io::put_extent(out, q.region);
+          io::put_u8(out, static_cast<std::uint8_t>(q.op));
           return out;
         } else if constexpr (std::is_same_v<T, SliceQuery>) {
           Frame out = begin_frame(MsgType::kSliceQuery);
-          put_i32(out, q.t);
+          io::put_i32(out, q.t);
           return out;
         } else if constexpr (std::is_same_v<T, HotspotsQuery>) {
           Frame out = begin_frame(MsgType::kHotspotsQuery);
-          put_u32(out, q.k);
-          put_f64(out, q.quantile);
+          io::put_u32(out, q.k);
+          io::put_f64(out, q.quantile);
           return out;
         } else if constexpr (std::is_same_v<T, RegionGridQuery>) {
           Frame out = begin_frame(MsgType::kRegionGridQuery);
-          put_extent(out, q.region);
+          io::put_extent(out, q.region);
           return out;
         } else {
           static_assert(std::is_same_v<T, HealthQuery>);
@@ -246,62 +109,59 @@ Frame encode(const ResponseMessage& msg) {
         using T = std::decay_t<decltype(r)>;
         if constexpr (std::is_same_v<T, DensityAtResponse>) {
           Frame out = begin_frame(MsgType::kDensityAtResponse);
-          put_u64(out, r.version);
-          put_f32(out, r.value);
+          io::put_u64(out, r.version);
+          io::put_f32(out, r.value);
           return out;
         } else if constexpr (std::is_same_v<T, RegionResponse>) {
           Frame out = begin_frame(MsgType::kRegionResponse);
-          put_u64(out, r.version);
-          put_u8(out, static_cast<std::uint8_t>(r.op));
-          put_f64(out, r.value);
+          io::put_u64(out, r.version);
+          io::put_u8(out, static_cast<std::uint8_t>(r.op));
+          io::put_f64(out, r.value);
           return out;
         } else if constexpr (std::is_same_v<T, SliceResponse>) {
           Frame out = begin_frame(MsgType::kSliceResponse);
-          put_u64(out, r.version);
-          put_i32(out, r.t);
-          put_i32(out, r.field.nx);
-          put_i32(out, r.field.ny);
-          for (const float v : r.field.values) put_f32(out, v);
+          io::put_u64(out, r.version);
+          io::put_i32(out, r.t);
+          io::put_i32(out, r.field.nx);
+          io::put_i32(out, r.field.ny);
+          io::put_f32s(out, r.field.values.data(), r.field.values.size());
           return out;
         } else if constexpr (std::is_same_v<T, HotspotsResponse>) {
           Frame out = begin_frame(MsgType::kHotspotsResponse);
-          put_u64(out, r.version);
-          put_u32(out, static_cast<std::uint32_t>(r.hotspots.size()));
+          io::put_u64(out, r.version);
+          io::put_u32(out, static_cast<std::uint32_t>(r.hotspots.size()));
           for (const Hotspot& h : r.hotspots) {
-            put_i32(out, h.peak.x);
-            put_i32(out, h.peak.y);
-            put_i32(out, h.peak.t);
-            put_f32(out, h.peak_density);
-            put_f64(out, h.mass);
-            put_i64(out, h.voxels);
+            io::put_i32(out, h.peak.x);
+            io::put_i32(out, h.peak.y);
+            io::put_i32(out, h.peak.t);
+            io::put_f32(out, h.peak_density);
+            io::put_f64(out, h.mass);
+            io::put_i64(out, h.voxels);
           }
           return out;
         } else if constexpr (std::is_same_v<T, RegionGridResponse>) {
           Frame out = begin_frame(MsgType::kRegionGridResponse);
-          put_u64(out, r.version);
+          io::put_u64(out, r.version);
           // The grid rides as io/grid_io's dense payload, verbatim — the
           // same bytes save_grid() writes to disk.
-          std::ostringstream payload(std::ios::binary);
-          io::save_grid(payload, r.grid);
-          const std::string bytes = payload.str();
-          out.insert(out.end(), bytes.begin(), bytes.end());
+          io::put_grid(out, r.grid);
           return out;
         } else if constexpr (std::is_same_v<T, HealthResponse>) {
           Frame out = begin_frame(MsgType::kHealthResponse);
-          put_u64(out, r.version);
-          put_u64(out, r.head_version);
-          put_u8(out, static_cast<std::uint8_t>(r.state));
-          put_u64(out, r.staleness_ms);
-          put_u64(out, r.quarantined);
-          put_u64(out, r.quarantine_dropped);
-          put_u64(out, r.wal_lag);
+          io::put_u64(out, r.version);
+          io::put_u64(out, r.head_version);
+          io::put_u8(out, static_cast<std::uint8_t>(r.state));
+          io::put_u64(out, r.staleness_ms);
+          io::put_u64(out, r.quarantined);
+          io::put_u64(out, r.quarantine_dropped);
+          io::put_u64(out, r.wal_lag);
           return out;
         } else {
           static_assert(std::is_same_v<T, ErrorResponse>);
           Frame out = begin_frame(MsgType::kErrorResponse);
-          put_u32(out, static_cast<std::uint32_t>(r.code));
-          put_u32(out, r.retry_after_ms);
-          put_u32(out, static_cast<std::uint32_t>(r.message.size()));
+          io::put_u32(out, static_cast<std::uint32_t>(r.code));
+          io::put_u32(out, r.retry_after_ms);
+          io::put_u32(out, static_cast<std::uint32_t>(r.message.size()));
           out.insert(out.end(), r.message.begin(), r.message.end());
           return out;
         }
@@ -320,9 +180,7 @@ std::optional<QueryMessage> decode_query_payload(MsgType type, Reader r,
   switch (type) {
     case MsgType::kDensityAtQuery: {
       DensityAtQuery q;
-      q.at.x = r.f64();
-      q.at.y = r.f64();
-      q.at.t = r.f64();
+      q.at = r.point();
       if (r.fail || r.remaining() != 0) break;
       return q;
     }
@@ -391,14 +249,14 @@ std::optional<ResponseMessage> decode_response_payload(MsgType type, Reader r,
       m.field.nx = r.i32();
       m.field.ny = r.i32();
       if (r.fail) break;
-      if (m.field.nx <= 0 || m.field.ny <= 0 || m.field.nx > kMaxDim ||
-          m.field.ny > kMaxDim)
-        break;
+      // The frame's size bounds the field: two positive int32s give fewer
+      // than 2^62 cells, whose byte count cannot wrap.
+      if (m.field.nx <= 0 || m.field.ny <= 0) break;
       const std::uint64_t cells = static_cast<std::uint64_t>(m.field.nx) *
                                   static_cast<std::uint64_t>(m.field.ny);
       if (cells * sizeof(float) != r.remaining()) break;
       m.field.values.resize(static_cast<std::size_t>(cells));
-      for (float& v : m.field.values) v = r.f32();
+      r.f32s(m.field.values.data(), m.field.values.size());
       if (r.fail || r.remaining() != 0) break;
       return ResponseMessage{std::move(m)};
     }
@@ -425,31 +283,13 @@ std::optional<ResponseMessage> decode_response_payload(MsgType type, Reader r,
     case MsgType::kRegionGridResponse: {
       RegionGridResponse m;
       m.version = r.u64();
-      // Validate the embedded grid_io payload before letting load_grid
-      // allocate: magic, a sane extent, and a float count that exactly
-      // matches the remaining bytes. After this, the allocation is bounded
-      // by the frame size.
-      if (!r.need(sizeof(kGridMagic) + 6 * sizeof(std::int32_t))) break;
-      if (std::memcmp(r.p + r.off, kGridMagic, sizeof(kGridMagic)) != 0)
-        break;
-      Reader peek{r.p + r.off + sizeof(kGridMagic), 6 * sizeof(std::int32_t)};
-      const Extent3 e = peek.extent();
-      const std::int64_t volume = checked_volume(e);
-      if (volume < 0) break;
-      const std::size_t grid_bytes = r.remaining();
-      if (sizeof(kGridMagic) + 6 * sizeof(std::int32_t) +
-              static_cast<std::uint64_t>(volume) * sizeof(float) !=
-          grid_bytes)
-        break;
+      // read_grid validates the magic and an extent whose floats fill the
+      // remaining bytes exactly before it allocates, so the allocation is
+      // bounded by the frame size.
       try {
-        // Iterator-range construction: uint8_t→char conversion per element,
-        // no pointer-type pun on the payload buffer.
-        std::istringstream in(
-            std::string(r.p + r.off, r.p + r.off + grid_bytes),
-            std::ios::binary);
-        m.grid = io::load_grid(in);
+        m.grid = io::read_grid(r, "frame");
       } catch (const std::exception&) {
-        break;  // memory budget, stream failure — reported as malformed
+        break;  // bad payload or memory budget — reported as malformed
       }
       return ResponseMessage{std::move(m)};
     }
@@ -475,7 +315,8 @@ std::optional<ResponseMessage> decode_response_payload(MsgType type, Reader r,
           len > kMaxErrorMessageBytes || len != r.remaining())
         break;
       m.code = static_cast<ErrorCode>(code);
-      m.message.assign(r.p + r.off, r.p + r.off + len);
+      const std::uint8_t* text = r.bytes(len);
+      m.message.assign(text, text + len);
       return ResponseMessage{std::move(m)};
     }
     default:

@@ -3,7 +3,8 @@
 /// Compact binary wire format for serve-layer query/response framing.
 ///
 /// Frame layout (all multi-byte values little-endian, independent of host
-/// endianness — encoders emit bytes explicitly):
+/// endianness — encoders emit bytes explicitly through io/bytes.hpp, the
+/// codec grid files, WAL records and checkpoints share):
 ///
 ///   [0, 4)   magic "SKW1"
 ///   [4, 6)   u16  message type (MsgType)
@@ -28,7 +29,8 @@
 ///                       i32 t, f32 peak_density, f64 mass, i64 voxels}
 ///   kRegionGridResponse u64 version, then io/grid_io's dense grid payload
 ///                       verbatim (magic "STKDEG1\0", i32[6] extent,
-///                       f32[volume] in T-innermost order)
+///                       f32[volume] in T-innermost order, little-endian
+///                       like every other field, so host-independent)
 ///   kHealthResponse     u64 version, u64 head_version, u8 state
 ///                       (SessionState), u64 staleness_ms, u64 quarantined,
 ///                       u64 quarantine_dropped, u64 wal_lag       (49 B)

@@ -63,6 +63,7 @@
 #include "data/datasets.hpp"
 #include "data/generator.hpp"
 #include "data/instances.hpp"
+#include "io/bytes.hpp"
 #include "io/grid_io.hpp"
 #include "io/pgm.hpp"
 #include "io/slice.hpp"

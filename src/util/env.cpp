@@ -1,5 +1,6 @@
 #include "util/env.hpp"
 
+#include <cctype>
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
@@ -38,9 +39,15 @@ long env_long(const std::string& name, long fallback) {
 }
 
 bool env_flag(const std::string& name) {
-  auto s = env_string(name);
+  const auto s = env_string(name);
   if (!s) return false;
-  return !(*s == "" || *s == "0" || *s == "false" || *s == "FALSE");
+  std::string word = *s;
+  for (char& c : word)
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  if (word.empty() || word == "0" || word == "false") return false;
+  if (word == "1" || word == "true") return true;
+  throw std::invalid_argument(name + "='" + *s +
+                              "' is not a flag (1, true, 0, false or empty)");
 }
 
 int hardware_threads() {

@@ -4,7 +4,9 @@
 ///   STKDE_BENCH_SCALE   — global instance down-scaling factor (default 1.0;
 ///                         larger = smaller instances, 0 < scale)
 ///   STKDE_BENCH_THREADS — max thread count benches sweep to (default: all)
-///   STKDE_BENCH_FAST    — if set nonzero, benches use the smallest preset
+///   STKDE_BENCH_FAST    — a flag (env_flag): "1"/"true" makes benches use
+///                         the smallest preset, ""/"0"/"false" (or unset)
+///                         does not
 
 #include <optional>
 #include <string>
@@ -23,7 +25,9 @@ namespace stkde::util {
 /// env_double unless the whole value parses as a long and fits.
 [[nodiscard]] long env_long(const std::string& name, long fallback);
 
-/// True when the variable is set to something other than "", "0", "false".
+/// Parse env var as a flag: false when unset or "", "0", "false"; true
+/// for "1", "true" (either case). Any other value throws
+/// std::invalid_argument naming the variable and the value.
 [[nodiscard]] bool env_flag(const std::string& name);
 
 /// Number of hardware threads (>= 1).

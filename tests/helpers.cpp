@@ -1,6 +1,7 @@
 #include "helpers.hpp"
 
 #include <algorithm>
+#include <fstream>
 
 namespace stkde::testing {
 
@@ -19,6 +20,18 @@ TinyInstance make_tiny(std::size_t n, std::int32_t Hs, std::int32_t Ht,
   t.params.ht = static_cast<double>(Ht);
   t.params.threads = 2;
   return t;
+}
+
+std::string file_hex(const std::string& path) {
+  static const char* const kDigits = "0123456789abcdef";
+  std::ifstream in(path, std::ios::binary);
+  std::string hex;
+  for (char c; in.get(c);) {
+    const auto b = static_cast<unsigned char>(c);
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 0xfu];
+  }
+  return hex;
 }
 
 double grid_tolerance(const DensityGrid& reference) {

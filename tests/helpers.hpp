@@ -2,6 +2,7 @@
 /// Shared fixtures for the stkde test suite.
 
 #include <cstdint>
+#include <string>
 
 #include "core/estimator.hpp"
 #include "data/generator.hpp"
@@ -25,6 +26,10 @@ TinyInstance make_tiny(std::size_t n, std::int32_t Hs, std::int32_t Ht,
 /// Relative max-abs-diff comparison threshold for float grids produced by
 /// different accumulation orders.
 double grid_tolerance(const DensityGrid& reference);
+
+/// The bytes of the file at \p path as lowercase hex, two digits a byte
+/// (golden-format tests compare whole files against a literal).
+[[nodiscard]] std::string file_hex(const std::string& path);
 
 /// RAII override of the process memory budget (restores on destruction).
 class ScopedMemoryBudget {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -146,6 +147,43 @@ TEST(Incremental, DeadOnArrivalEventsNeverEnterTheGrid) {
   // Never scattered at all: the raw grid is still exactly zero.
   EXPECT_EQ(inc.raw().max_value(), 0.0f);
   EXPECT_DOUBLE_EQ(inc.raw().sum(), 0.0);
+}
+
+// A slide whose fresh scatter fails is discarded whole: nothing is retired
+// or logged, so the window's watermark must not move either. Otherwise
+// later events below the abandoned cutoff are quarantined as stale, and
+// recover() would rebuild the old watermark from the WAL.
+TEST(Incremental, FailedAdvanceKeepsTheWatermark) {
+  DomainSpec dom;
+  dom.gx = 64;
+  dom.gy = 64;
+  dom.gt = 40;
+  Params params;
+  params.hs = 3.0;
+  params.ht = 2.0;
+  StreamConfig cfg;
+  cfg.threads = 2;
+  IncrementalEstimator inc(dom, params, cfg);
+  // One hot tile: the parity schedule splits it across replica buffers,
+  // which a 1 KiB budget cannot hold.
+  const PointSet hot(200, Point{30.5, 30.5, 20.5});
+  {
+    stkde::testing::ScopedMemoryBudget guard(1024);
+    EXPECT_THROW(inc.advance_window(hot, 10.0), util::MemoryBudgetExceeded);
+  }
+  EXPECT_EQ(inc.stats().recoveries, 1u);
+  EXPECT_EQ(inc.live_count(), 0u);
+  EXPECT_EQ(inc.last_cutoff(), -std::numeric_limits<double>::infinity());
+
+  inc.add({Point{10.5, 10.5, 5.5}});
+  EXPECT_EQ(inc.live_count(), 1u);
+  EXPECT_EQ(inc.stats().quarantined_stale, 0u);
+
+  // Admission of the slide's own batch already used the new cutoff.
+  inc.advance_window({Point{12.5, 12.5, 4.5}, Point{20.5, 20.5, 30.5}}, 10.0);
+  EXPECT_EQ(inc.last_cutoff(), 10.0);
+  EXPECT_EQ(inc.stats().quarantined_stale, 1u);
+  EXPECT_EQ(inc.live_count(), 1u);  // 5.5 retired, 30.5 admitted
 }
 
 TEST(Incremental, RemoveTakesOneInstancePerRequest) {

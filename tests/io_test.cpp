@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
+#include "helpers.hpp"
+#include "io/bytes.hpp"
 #include "io/grid_io.hpp"
 #include "io/pgm.hpp"
 #include "io/slice.hpp"
 #include "io/vtk.hpp"
+#include "util/memory.hpp"
 #include "util/rng.hpp"
 
 namespace stkde::io {
@@ -206,6 +211,101 @@ TEST(GridIo, TruncatedPayloadRejected) {
 
 TEST(GridIo, MissingFileThrows) {
   EXPECT_THROW(load_grid("/nonexistent/grid.bin"), std::runtime_error);
+}
+
+// The grid file format byte for byte: magic "STKDEG1\0", six little-endian
+// int32 bounds, then little-endian floats in T-innermost order, dense even
+// when the grid's rows are padded in memory.
+TEST(GridIo, GoldenFileBytesFromPackedAndPaddedGrids) {
+  const Extent3 e{1, 3, 0, 2, -1, 1};
+  const float values[8] = {1.0f, -2.0f, 0.5f, 0.25f, 3.0f, 1.5f, -0.75f, 8.0f};
+  const std::string golden =
+      "53544b4445473100"                                  // "STKDEG1\0"
+      "01000000" "03000000" "00000000" "02000000"         // x [1,3) y [0,2)
+      "ffffffff" "01000000"                               // t [-1,1)
+      "0000803f" "000000c0" "0000003f" "0000803e"         // x = 1
+      "00004040" "0000c03f" "000040bf" "00000041";        // x = 2
+  for (const RowPad pad : {RowPad::kNone, RowPad::kCacheLine}) {
+    DensityGrid g;
+    g.allocate(e, pad);
+    ASSERT_EQ(g.padded(), pad == RowPad::kCacheLine);
+    g.fill(0.0f);
+    int i = 0;
+    for (std::int32_t x = e.xlo; x < e.xhi; ++x)
+      for (std::int32_t y = e.ylo; y < e.yhi; ++y)
+        for (std::int32_t t = e.tlo; t < e.thi; ++t)
+          g.at(x, y, t) = values[i++];
+    const std::string path = ::testing::TempDir() + "/stkde_golden.grid";
+    save_grid(path, g);
+    EXPECT_EQ(stkde::testing::file_hex(path), golden)
+        << "padded=" << g.padded();
+    std::remove(path.c_str());
+  }
+}
+
+// A header whose extent is absurd must be refused before the grid is
+// allocated: the declared volume has to match the file's size exactly.
+// A 1 MiB budget turns any allocation attempt into MemoryBudgetExceeded,
+// which the test tells apart from the format error.
+TEST(GridIo, HostileHeaderThrowsWithoutAllocating) {
+  const std::string path = ::testing::TempDir() + "/stkde_hostile.grid";
+  const auto write_header = [&](const std::int32_t (&bounds)[6]) {
+    std::string bytes("STKDEG1", 8);
+    for (const std::int32_t b : bounds)
+      for (int k = 0; k < 4; ++k)
+        bytes += static_cast<char>((static_cast<std::uint32_t>(b) >> (8 * k)) &
+                                   0xffu);
+    std::ofstream(path, std::ios::binary) << bytes;  // header, no floats
+  };
+  const std::int32_t huge[6] = {0, 1 << 30, 0, 1 << 30, 0, 16};
+  const std::int32_t wide[6] = {std::numeric_limits<std::int32_t>::min(), 1,
+                                0, 2, 0, 2};
+  // 2^62 floats are 2^64 bytes: a byte count taken by multiplying wraps
+  // to 0, the size of this payload.
+  const std::int32_t wraps[6] = {0, 1 << 21, 0, 1 << 21, 0, 1 << 20};
+  stkde::testing::ScopedMemoryBudget guard(1 << 20);
+  for (const auto* bounds : {&huge, &wide, &wraps}) {
+    write_header(*bounds);
+    try {
+      const DensityGrid g = load_grid(path);
+      ADD_FAILURE() << "loaded a grid of size " << g.size();
+    } catch (const util::MemoryBudgetExceeded& e) {
+      ADD_FAILURE() << "allocated before validating: " << e.what();
+    } catch (const std::runtime_error& e) {
+      SUCCEED() << e.what();
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// Once a read has overrun, every later read is refused, f32s included: it
+// neither copies nor advances, so a decoder may check `fail` once at the
+// end of a record.
+TEST(Bytes, ReadsAfterAnOverrunAreRefused) {
+  const Bytes b = {0, 0, 128, 63, 0, 0, 0, 64};  // f32 1.0, f32 2.0
+  Reader r{b.data(), b.size()};
+  EXPECT_EQ(r.bytes(b.size() + 1), nullptr);
+  float out[2] = {-1.0f, -1.0f};
+  r.f32s(out, 2);
+  EXPECT_TRUE(r.fail);
+  EXPECT_EQ(r.off, 0u);
+  EXPECT_EQ(out[0], -1.0f);
+  EXPECT_EQ(out[1], -1.0f);
+  EXPECT_EQ(r.u32(), 0u);
+}
+
+// Every grid save_grid() writes loads, however long an axis: the loader's
+// only bound is the file's size. 2^21 + 1 time steps are 8 MB.
+TEST(GridIo, LongAxisRoundTrips) {
+  const std::string path = ::testing::TempDir() + "/stkde_long.grid";
+  DensityGrid g(Extent3{0, 1, 0, 1, 0, (1 << 21) + 1});
+  for (std::int64_t i = 0; i < g.size(); ++i)
+    g.data()[i] = static_cast<float>(i % 1000);
+  save_grid(path, g);
+  const DensityGrid loaded = load_grid(path);
+  EXPECT_EQ(loaded.extent(), g.extent());
+  EXPECT_DOUBLE_EQ(loaded.max_abs_diff(g), 0.0);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -196,6 +196,37 @@ TEST(Wal, RoundTripsRecordsExactly) {
   EXPECT_TRUE(rep.records[2].points.empty());
 }
 
+// The WAL format byte for byte, one record of each type after the magic
+// "STKDEWL1": u32 CRC-32 of the rest of the record, u16 type, u16 reserved,
+// u64 seq, u32 count, f64 cutoff (advance only), count x f64 {x, y, t},
+// all little-endian.
+TEST(Wal, GoldenBytesOfEachRecordType) {
+  const std::string dir = fresh_dir("wal_golden");
+  const std::string path = dir + "/wal.0.log";
+  {
+    io::WalWriter w(path, io::WalSync::kNone, /*truncate=*/true);
+    w.append(make_record(io::WalRecordType::kAdd, 1, 0.0, {{1.5, -2.0, 3.25}}));
+    w.append(
+        make_record(io::WalRecordType::kAdvance, 2, 0.5, {{4.0, 0.25, 8.0}}));
+    w.append(
+        make_record(io::WalRecordType::kRemove, 3, 0.0, {{1.5, -2.0, 3.25}}));
+  }
+  const std::string golden =
+      "53544b4445574c31"  // "STKDEWL1"
+      // add: crc, type 1, reserved, seq 1, count 1, (1.5, -2, 3.25)
+      "bb68bb69" "0100" "0000" "0100000000000000" "01000000"
+      "000000000000f83f" "00000000000000c0" "0000000000000a40"
+      // advance: crc, type 2, reserved, seq 2, count 1, cutoff 0.5,
+      // (4, 0.25, 8)
+      "d00b4765" "0200" "0000" "0200000000000000" "01000000"
+      "000000000000e03f"
+      "0000000000001040" "000000000000d03f" "0000000000002040"
+      // remove: crc, type 3, reserved, seq 3, count 1, (1.5, -2, 3.25)
+      "1fe5d31d" "0300" "0000" "0300000000000000" "01000000"
+      "000000000000f83f" "00000000000000c0" "0000000000000a40";
+  EXPECT_EQ(stkde::testing::file_hex(path), golden);
+}
+
 TEST(Wal, MissingFileIsAnEmptyReplay) {
   const io::WalReplay rep = io::read_wal("/nonexistent/stkde/wal.0.log");
   EXPECT_TRUE(rep.records.empty());
@@ -345,6 +376,54 @@ TEST(DurableLog, CheckpointRotatesGenerationsAndRecovers) {
   ASSERT_EQ(rec.tail.size(), 1u);
   EXPECT_EQ(rec.tail[0].seq, 3u);
   EXPECT_FALSE(rec.torn);
+}
+
+// The checkpoint format byte for byte: magic "STKDECP1", u64 generation,
+// u64 last seq, f64 last cutoff, u64 live count and its f64 {x, y, t}
+// points, the grid file's dense payload, then the CRC-32 of everything
+// after the magic, all little-endian.
+TEST(DurableLog, GoldenCheckpointBytes) {
+  const std::string dir = fresh_dir("durlog_golden");
+  DensityGrid grid(Extent3{0, 2, 0, 1, 0, 2});
+  grid.at(0, 0, 0) = 1.0f;
+  grid.at(0, 0, 1) = -2.0f;
+  grid.at(1, 0, 0) = 0.5f;
+  grid.at(1, 0, 1) = 0.25f;
+  {
+    core::DurableLog log(dir, io::WalSync::kNone);
+    log.checkpoint(7, 2.5, {{1.5, -2.0, 3.25}}, grid);
+  }
+  const std::string golden =
+      "53544b4445435031"  // "STKDECP1"
+      "0100000000000000"  // generation 1
+      "0700000000000000"  // last seq 7
+      "0000000000000440"  // last cutoff 2.5
+      "0100000000000000"  // one live point: (1.5, -2, 3.25)
+      "000000000000f83f" "00000000000000c0" "0000000000000a40"
+      "53544b4445473100"  // grid payload: "STKDEG1\0", [0,2) [0,1) [0,2)
+      "00000000" "02000000" "00000000" "01000000" "00000000" "02000000"
+      "0000803f" "000000c0" "0000003f" "0000803e"
+      "854643f6";  // CRC-32
+  EXPECT_EQ(stkde::testing::file_hex(dir + "/checkpoint.ck"), golden);
+}
+
+// A checkpoint recover() refused would strand the durable state: the
+// previous WAL generation is gone once the checkpoint commits. So every
+// grid a checkpoint holds must read back, however long an axis.
+TEST(DurableLog, LongAxisGridRecovers) {
+  const std::string dir = fresh_dir("durlog_long");
+  DensityGrid grid(Extent3{0, 1, 0, 1, 0, (1 << 21) + 1});
+  grid.fill(0.5f);
+  grid.at(0, 0, 1 << 21) = 2.0f;
+  {
+    core::DurableLog log(dir, io::WalSync::kNone);
+    log.checkpoint(3, 1.0, {{0.5, 0.5, 0.5}}, grid);
+  }
+  core::DurableLog log2(dir, io::WalSync::kNone);
+  const core::DurableLog::Recovered rec = log2.recover();
+  ASSERT_TRUE(rec.have_checkpoint);
+  EXPECT_EQ(rec.grid.extent(), grid.extent());
+  EXPECT_EQ(rec.grid.max_abs_diff(grid), 0.0);
 }
 
 TEST(DurableLog, PriorStateRefusesAppendUntilRecovered) {

@@ -309,7 +309,6 @@ TEST(Admission, WriterStallShedsOnlyExpensiveClasses) {
   using serve::CostClass;
   util::ManualClock clock;
   serve::AdmissionConfig cfg;
-  cfg.stall_after = milliseconds{100};
   serve::AdmissionController adm(cfg, &clock);
 
   const auto stalled =
@@ -577,7 +576,7 @@ TEST(Executor, WriterStallBreakerShedsExpensiveKeepsCheap) {
   publish_uniform(reg, dom, 1);
   sched::ThreadPool pool(2);
   serve::ExecutorConfig cfg;
-  cfg.admission.stall_after = milliseconds{5};
+  cfg.session.stall_after = milliseconds{5};
   serve::RequestExecutor exec(reg, pool, cfg);
 
   // Let the publish age past the breaker threshold (real clock: the

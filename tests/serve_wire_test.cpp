@@ -609,6 +609,49 @@ TEST(ServeWireRobustness, HostileGridExtentsNeverAllocate) {
       grid_response_with_extent(Extent3{2, 0, 0, 2, 0, 2}, 8)));
 }
 
+// 2^21 x 2^21 x 2^20 voxels are 2^64 float bytes, which wrap to 0 in
+// uint64: a header-only payload must still be refused, not decoded as a
+// grid whose size has no storage behind it.
+TEST(ServeWireGridPayload, VolumeWhoseByteCountWrapsIsRejected) {
+  EXPECT_FALSE(decode_response_as<RegionGridResponse>(
+      grid_response_with_extent(Extent3{0, 1 << 21, 0, 1 << 21, 0, 1 << 20},
+                                0)));
+}
+
+// The frame's size bounds a RegionGrid or a Slice, not a per-axis cap:
+// what the encoder emits decodes, however long an axis. 2^21 + 1 floats
+// are 8 MB.
+TEST(ServeWireLongAxis, RegionGridRoundTrips) {
+  RegionGridResponse in;
+  in.version = 4;
+  in.grid.allocate(Extent3{0, 1, 0, 1, 0, (1 << 21) + 1});
+  in.grid.fill(0.25f);
+  in.grid.at(0, 0, 1 << 21) = 3.0f;
+  DensityGrid sent;
+  sent.copy_from(in.grid);
+  const auto* m =
+      decode_response_as<RegionGridResponse>(encode(ResponseMessage{std::move(in)}));
+  ASSERT_NE(m, nullptr);
+  EXPECT_EQ(m->grid.extent(), sent.extent());
+  EXPECT_EQ(m->grid.max_abs_diff(sent), 0.0);
+}
+
+TEST(ServeWireLongAxis, SliceRoundTrips) {
+  SliceResponse in;
+  in.version = 5;
+  in.field.nx = (1 << 21) + 1;
+  in.field.ny = 1;
+  in.field.values.assign(static_cast<std::size_t>(in.field.nx), 0.5f);
+  in.field.values.back() = 4.0f;
+  const std::vector<float> sent = in.field.values;
+  const auto* m =
+      decode_response_as<SliceResponse>(encode(ResponseMessage{std::move(in)}));
+  ASSERT_NE(m, nullptr);
+  EXPECT_EQ(m->field.nx, (1 << 21) + 1);
+  EXPECT_EQ(m->field.ny, 1);
+  EXPECT_EQ(m->field.values, sent);
+}
+
 TEST(ServeWireRobustness, HostileSliceDimsNeverAllocate) {
   SliceResponse in;
   in.version = 1;

@@ -81,7 +81,7 @@ void dump(const LintResult& r, const char* label) {
 void test_fire_tree(const std::string& fixdir) {
   const LintResult r = lint_tree(fixdir + "/fire");
   EXPECT(r.errors.empty());
-  EXPECT_EQ(r.files_scanned, 7);
+  EXPECT_EQ(r.files_scanned, 8);
 
   // Every check demonstrably fires on its positive fixture, and fires the
   // exact number of seeded violations — no over-, no under-reporting.
@@ -92,15 +92,20 @@ void test_fire_tree(const std::string& fixdir) {
   EXPECT_EQ(count_in(r, "src/core/seeding.cpp", "determinism"), 5);
   EXPECT_EQ(count_in(r, "src/kernels/cache_key.hpp", "float-key"), 2);
   EXPECT_EQ(count_in(r, "src/serve/wire.cpp", "wire-cast"), 2);
+  EXPECT_EQ(count_in(r, "src/io/grid_io.cpp", "wire-cast"), 2);
+  // The grid reader fixture fires nothing else (its .read() is not a write).
+  EXPECT_EQ(count_in(r, "src/io/grid_io.cpp", "checked-io"), 0);
   EXPECT_EQ(count_in(r, "src/grid/omp_fill.cpp", "omp-runtime"), 6);
   EXPECT_EQ(count_in(r, "src/core/suppressions.cpp", "suppression-audit"), 5);
   // A well-formed suppression naming the WRONG check saves nothing.
   EXPECT_EQ(count_in(r, "src/core/suppressions.cpp", "checked-io"), 1);
-  EXPECT_EQ(r.findings.size(), 31u);
+  EXPECT_EQ(r.findings.size(), 33u);
 
-  // Line anchoring: the two seeded wire casts, exactly where they stand.
+  // Line anchoring: the seeded wire casts, exactly where they stand.
   EXPECT(has(r, "src/serve/wire.cpp", 11, "wire-cast"));
   EXPECT(has(r, "src/serve/wire.cpp", 15, "wire-cast"));
+  EXPECT(has(r, "src/io/grid_io.cpp", 14, "wire-cast"));
+  EXPECT(has(r, "src/io/grid_io.cpp", 19, "wire-cast"));
   // ...and the runtime pragma that -fopenmp-simd would silently serialize.
   EXPECT(has(r, "src/grid/omp_fill.cpp", 16, "omp-runtime"));
 
