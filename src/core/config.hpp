@@ -49,7 +49,8 @@ enum class Algorithm {
 /// plan_tile_schedule runs parity waves on the finest 2Hs-safe tiling at
 /// every thread count above one. Nor is the table cache: each pool worker
 /// of a PB-TILE, DR, DD or PD-family run (and of a streaming engine) gets
-/// one exact-keyed cache of kernels::SpatialTableCache::kBudgetBytes.
+/// one exact-keyed kernels::SpatialTableCache, which starts at 16 slots and
+/// grows on conflict misses up to kernels::SpatialTableCache::kBudgetBytes.
 struct TileParams {
   /// Grid bytes a serial-walk tile may map onto — the working set that
   /// should stay L2-resident while its cylinders stamp.

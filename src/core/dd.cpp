@@ -66,7 +66,7 @@ Result run_pb_sym_dd(const PointSet& pts, const detail::RunSetup& s,
           task_timer.seconds();
     });
   });
-  scratch.lanes().store(res.diag);
+  scratch.store(res.diag);
   return res;
 }
 

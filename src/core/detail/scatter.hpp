@@ -367,17 +367,9 @@ struct LaneStats {
     nonzero += o.nonzero;
     return *this;
   }
-
-  void store(Diagnostics& diag) const {
-    diag.table_lookups = lookups;
-    diag.table_fills = fills;
-    diag.table_cells = cells;
-    diag.span_cells = span;
-    diag.table_nonzero = nonzero;
-  }
 };
 
-/// One worker's scratch for cached stamps: a spatial-table cache sized for
+/// One worker's scratch for cached stamps: a spatial-table cache capped for
 /// the run's widest bandwidth, the per-point temporal table, and the
 /// worker's counts. Scratch outlives tasks, so a worker keeps its tables
 /// warm from one task, wave or (for the streaming engine) batch to the
@@ -396,7 +388,7 @@ struct alignas(util::kSimdAlign) StampScratch {
 /// allocates a cache or a temporal table, and no two workers share one.
 class StampScratches {
  public:
-  /// \p workers slots (at least one) with caches sized for the widest
+  /// \p workers slots (at least one) with caches capped for the widest
   /// bandwidth \p Hs (voxels).
   StampScratches(std::int32_t Hs, int workers) {
     const int n = std::max(1, workers);
@@ -424,6 +416,25 @@ class StampScratches {
     LaneStats t;
     for (const StampScratch& s : slots_) t += s.lanes;
     return t;
+  }
+
+  /// Table slots held by the workers' caches, summed; read as lanes().
+  [[nodiscard]] std::int64_t table_slots() const {
+    std::int64_t n = 0;
+    for (const StampScratch& s : slots_)
+      n += static_cast<std::int64_t>(s.cache.slots());
+    return n;
+  }
+
+  /// lanes() and table_slots() into a run's diagnostics.
+  void store(Diagnostics& diag) const {
+    const LaneStats t = lanes();
+    diag.table_lookups = t.lookups;
+    diag.table_fills = t.fills;
+    diag.table_cells = t.cells;
+    diag.span_cells = t.span;
+    diag.table_nonzero = t.nonzero;
+    diag.table_slots = table_slots();
   }
 
  private:

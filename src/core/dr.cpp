@@ -74,7 +74,7 @@ Result run_pb_sym_dr(const PointSet& pts, const detail::RunSetup& s,
                           scratch.of(&pool));
       });
     });
-    scratch.lanes().store(res.diag);
+    scratch.store(res.diag);
   }
 
   {

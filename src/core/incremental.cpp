@@ -68,6 +68,7 @@ void IncrementalEstimator::apply(const PointSet& batch, double sign) {
   const detail::LaneStats lanes = scratch_->lanes();
   stats_.table_lookups = static_cast<std::uint64_t>(lanes.lookups);
   stats_.table_fills = static_cast<std::uint64_t>(lanes.fills);
+  stats_.table_slots = static_cast<std::uint64_t>(scratch_->table_slots());
 }
 
 void IncrementalEstimator::mark_dirty(const PointSet& batch) {

@@ -141,6 +141,7 @@ struct StreamStats {
   std::uint64_t publishes = 0;        ///< snapshot states published
   std::uint64_t table_lookups = 0;    ///< tile-engine table-cache probes
   std::uint64_t table_fills = 0;      ///< probes that computed a table
+  std::uint64_t table_slots = 0;      ///< slots the caches hold, all workers
   std::uint64_t quarantined_nonfinite = 0;  ///< NaN/Inf coordinates refused
   std::uint64_t quarantined_domain = 0;     ///< beyond-margin positions
   std::uint64_t quarantined_stale = 0;      ///< older than the window cutoff

@@ -61,7 +61,7 @@ Result run_pb_tile(const PointSet& pts, const detail::RunSetup& s,
     res.diag.num_colors = static_cast<std::int32_t>(st.waves);
     res.diag.extra_bytes = st.replica_bytes;
   });
-  scratch.lanes().store(res.diag);
+  scratch.store(res.diag);
   return res;
 }
 

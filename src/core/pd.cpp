@@ -79,7 +79,7 @@ Result run_pb_sym_pd(const PointSet& pts, const detail::RunSetup& s,
             res.diag.task_seconds[v] = task_timer.seconds();
           });
   });
-  scratch.lanes().store(res.diag);
+  scratch.store(res.diag);
   return res;
 }
 

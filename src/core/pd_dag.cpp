@@ -183,7 +183,7 @@ Result run_pb_sym_pd_dag(const PointSet& pts, const detail::RunSetup& s,
     for (std::size_t i = 0; i < dag.task_count(); ++i)
       res.diag.task_seconds[i] = dag.finish_times()[i] - dag.start_times()[i];
   });
-  scratch.lanes().store(res.diag);
+  scratch.store(res.diag);
   return res;
 }
 

@@ -45,6 +45,7 @@ struct Diagnostics {
   /// directly).
   std::int64_t table_lookups = 0;  ///< cache probes (one per point-tile stamp)
   std::int64_t table_fills = 0;    ///< probes that had to compute a table
+  std::int64_t table_slots = 0;    ///< slots the caches ended with, all workers
 
   /// PB-TILE traversal schedule ("serial" or "parity-wave"; empty for the
   /// other strategies) and the worker count it ran with.

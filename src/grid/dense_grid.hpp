@@ -23,6 +23,7 @@
 /// flat data() walk is only layout-dense when padded() is false.
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -61,6 +62,8 @@ class DenseGrid3 {
     allocate(Extent3::whole(dims), pad);
   }
 
+  /// An extent whose element or byte count overflows 64 bits throws
+  /// util::MemoryBudgetExceeded like any other over-budget grid.
   void allocate(const Extent3& ext, RowPad pad = RowPad::kNone) {
     if (ext.empty()) throw std::invalid_argument("DenseGrid3: empty extent");
     constexpr std::int64_t kLine =
@@ -68,10 +71,17 @@ class DenseGrid3 {
     std::int64_t stride = ext.nt();
     if (pad == RowPad::kCacheLine && kLine > 1)
       stride = (stride + kLine - 1) / kLine * kLine;
-    const std::int64_t alloc =
-        static_cast<std::int64_t>(ext.nx()) * ext.ny() * stride;
-    util::MemoryBudget::instance().require(static_cast<std::uint64_t>(alloc) *
-                                           sizeof(T));
+    // nx * ny < 2^62 always; times the row stride or the element size, the
+    // count can wrap, which would pass any budget as a small request.
+    const std::int64_t columns = static_cast<std::int64_t>(ext.nx()) * ext.ny();
+    constexpr std::int64_t kMaxElems = std::numeric_limits<std::int64_t>::max() /
+                                       static_cast<std::int64_t>(sizeof(T));
+    const util::MemoryBudget& budget = util::MemoryBudget::instance();
+    if (columns > kMaxElems / stride)
+      throw util::MemoryBudgetExceeded(
+          std::numeric_limits<std::uint64_t>::max(), budget.limit());
+    const std::int64_t alloc = columns * stride;
+    budget.require(static_cast<std::uint64_t>(alloc) * sizeof(T));
     ext_ = ext;
     stride_y_ = stride;
     stride_x_ = static_cast<std::int64_t>(ext.ny()) * stride;

@@ -15,8 +15,16 @@
 /// bitwise-identical table: caching never changes a stamped value.
 ///
 /// Storage is a direct-mapped slot array (slot = hash(key) mod slots; a
-/// colliding miss overwrites), so memory is bounded by the byte budget and
-/// lookups are O(1) with zero allocator traffic after warm-up.
+/// colliding miss overwrites) that starts at kMinSlots and grows only when
+/// a larger one would have hit. Each slot remembers the key it last
+/// evicted, as a 64-bit hash (the ghost entry of ARC, Megiddo & Modha,
+/// FAST 2003); a miss on that key is a conflict miss, so the array doubles,
+/// moving every held table with its storage. The last step lands on the
+/// cap, kBudgetBytes over one table's bytes clamped to [16, 65 536], so
+/// memory stays bounded by the byte budget. A feed whose offsets never
+/// recur (continuous coordinates, per-point bandwidths) keeps 16 slots; a
+/// lattice feed grows until its keys stop colliding. Lookups are O(1),
+/// and a cache allocates only when a slot first fills or the array grows.
 ///
 /// A cache fills its tables unscaled, for the bandwidth each lookup names,
 /// so its entries never go stale: a slot hits only when its stored hs bit
@@ -29,7 +37,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "geom/voxel_mapper.hpp"
@@ -59,18 +69,19 @@ class SpatialTableCache {
     bool filled;
   };
 
-  /// Byte budget of one cache's table storage; it sets the slot count.
+  /// Byte budget of one cache's table storage; it caps the slot count.
   static constexpr std::uint64_t kBudgetBytes = std::uint64_t{8} << 20;
+  /// Slots of a new cache.
+  static constexpr std::size_t kMinSlots = 16;
 
-  /// \p Hs, the widest bandwidth any lookup names (voxels), sizes the
-  /// slots: each holds one (2Hs+1)² table, and there are kBudgetBytes /
-  /// table bytes of them, clamped to [16, 65 536].
-  explicit SpatialTableCache(std::int32_t Hs) {
-    const std::uint64_t side = 2 * static_cast<std::uint64_t>(Hs) + 1;
-    const std::uint64_t table_bytes = side * side * sizeof(float) + 64;
-    slots_.resize(static_cast<std::size_t>(
-        std::clamp(kBudgetBytes / table_bytes, kMinSlots, kMaxSlots)));
-  }
+  /// \p Hs, the widest bandwidth any lookup names (voxels), sets the cap:
+  /// each slot holds one (2Hs+1)² table, and the cache grows to at most
+  /// kBudgetBytes / table bytes of them, clamped to [16, 65 536].
+  explicit SpatialTableCache(std::int32_t Hs)
+      : max_slots_(max_slots(Hs)), slots_(kMinSlots) {}
+
+  /// Slots held now.
+  [[nodiscard]] std::size_t slots() const { return slots_.size(); }
 
   /// The unscaled spatial table of \p p for bandwidth \p hs (\p Hs
   /// voxels), from its slot or filled into it.
@@ -84,29 +95,66 @@ class SpatialTableCache {
     const std::uint64_t kx = normalize_key(fx);
     const std::uint64_t ky = normalize_key(fy);
     const std::uint64_t kh = normalize_key(hs);
-    Slot& s = slots_[static_cast<std::size_t>(mix(kx, ky) % slots_.size())];
+    const std::uint64_t h = mix(kx, ky);
+    Slot* s = &slot_of(h);
 
-    const bool hit = s.used && s.kx == kx && s.ky == ky && s.kh == kh;
+    const bool hit = s->used && s->kx == kx && s->ky == ky && s->kh == kh;
     if (!hit) {
-      s.table.compute_offset(k, fx, fy, d.sres, hs, Hs, 1.0);
-      s.kx = kx;
-      s.ky = ky;
-      s.kh = kh;
-      s.used = true;
+      if (s->ghost == ghost_of(h, kh) && slots_.size() < max_slots_) {
+        grow();
+        s = &slot_of(h);
+      }
+      // Only a key at another offset can leave this slot in a larger array.
+      if (s->used && (s->kx != kx || s->ky != ky))
+        s->ghost = ghost_of(mix(s->kx, s->ky), s->kh);
+      s->table.compute_offset(k, fx, fy, d.sres, hs, Hs, 1.0);
+      s->kx = kx;
+      s->ky = ky;
+      s->kh = kh;
+      s->used = true;
     }
-    s.table.rebase(c.x - Hs, c.y - Hs);
-    return Lookup{s.table, !hit};
+    s->table.rebase(c.x - Hs, c.y - Hs);
+    return Lookup{s->table, !hit};
   }
 
  private:
   struct Slot {
     SpatialInvariant table;
     std::uint64_t kx = 0, ky = 0, kh = 0;
+    std::uint64_t ghost = 0;  ///< ghost_of the key this slot last evicted
     bool used = false;
   };
 
-  static constexpr std::uint64_t kMinSlots = 16;
   static constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << 16;
+
+  [[nodiscard]] static std::size_t max_slots(std::int32_t Hs) {
+    const std::uint64_t side = 2 * static_cast<std::uint64_t>(Hs) + 1;
+    const std::uint64_t table_bytes = side * side * sizeof(float) + 64;
+    return static_cast<std::size_t>(
+        std::clamp(kBudgetBytes / table_bytes, std::uint64_t{kMinSlots},
+                   kMaxSlots));
+  }
+
+  [[nodiscard]] Slot& slot_of(std::uint64_t h) {
+    return slots_[static_cast<std::size_t>(h % slots_.size())];
+  }
+
+  /// Double the slot array (the last step stops at max_slots_), keeping
+  /// each held table in slot mix(kx, ky) % slots. Doubling never lands two
+  /// held tables on one slot; the last step can, and keeps the first.
+  /// Ghosts are dropped: a grow consumes the evidence that caused it.
+  void grow() {
+    const std::size_t n = std::min(2 * slots_.size(), max_slots_);
+    std::vector<Slot> next(n);
+    for (Slot& s : slots_) {
+      if (!s.used) continue;
+      Slot& to = next[static_cast<std::size_t>(mix(s.kx, s.ky) % n)];
+      if (to.used) continue;
+      to = std::move(s);
+      to.ghost = 0;
+    }
+    slots_ = std::move(next);
+  }
 
   /// splitmix64 finalizer.
   [[nodiscard]] static std::uint64_t mix1(std::uint64_t z) {
@@ -123,6 +171,13 @@ class SpatialTableCache {
     return mix1(mix1(a) ^ b);
   }
 
+  /// Ghost hash of the key (offset hash \p h, bandwidth bits \p kh).
+  [[nodiscard]] static std::uint64_t ghost_of(std::uint64_t h,
+                                              std::uint64_t kh) {
+    return mix1(h ^ kh);
+  }
+
+  std::size_t max_slots_;
   std::vector<Slot> slots_;
 };
 

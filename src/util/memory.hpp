@@ -6,6 +6,7 @@
 /// that *before* allocating and fail with a typed error instead of crashing).
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <new>
 #include <stdexcept>
@@ -31,11 +32,14 @@ using AlignedArray = std::unique_ptr<T[], AlignedDeleter<T>>;
 
 /// Allocate \p n elements aligned to kSimdAlign. The memory is raw — callers
 /// must write every element before reading it (all users fill the buffer as
-/// their first pass, which is why the old zero-fill was pure waste).
+/// their first pass, which is why the old zero-fill was pure waste). Throws
+/// std::bad_array_new_length when \p n elements' bytes overflow size_t.
 template <typename T>
 [[nodiscard]] AlignedArray<T> allocate_aligned(std::size_t n) {
   static_assert(std::is_trivially_destructible_v<T>,
                 "AlignedArray skips destructors");
+  if (n > std::numeric_limits<std::size_t>::max() / sizeof(T))
+    throw std::bad_array_new_length();
   return AlignedArray<T>(static_cast<T*>(
       ::operator new[](n * sizeof(T), std::align_val_t{kSimdAlign})));
 }

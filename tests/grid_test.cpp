@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "grid/extent.hpp"
 #include "helpers.hpp"
 #include "sched/thread_pool.hpp"
@@ -123,6 +126,30 @@ TEST(DenseGrid, AllocationRespectsMemoryBudget) {
   EXPECT_THROW(DenseGrid3<float>(GridDims{1024, 1024, 16}),
                util::MemoryBudgetExceeded);
   EXPECT_NO_THROW(DenseGrid3<float>(GridDims{32, 32, 32}));
+}
+
+TEST(DenseGrid, ByteCountOverflowIsOverBudget) {
+  // 2^62 voxels: their 2^64 float bytes wrap to 0 in 64 bits, a request that
+  // used to pass any budget and leave size() at 2^62 over an empty buffer.
+  stkde::testing::ScopedMemoryBudget guard(1 << 20);  // 1 MiB
+  DenseGrid3<float> g;
+  EXPECT_THROW(g.allocate(Extent3{0, 1 << 21, 0, 1 << 21, 0, 1 << 20}),
+               util::MemoryBudgetExceeded);
+  EXPECT_FALSE(g.allocated());
+  EXPECT_EQ(g.size(), 0);
+}
+
+TEST(DenseGrid, VoxelCountOverflowIsOverBudget) {
+  // (2^31 - 1)^3 voxels overflow int64 before any byte count is taken.
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  stkde::testing::ScopedMemoryBudget guard(1 << 20);  // 1 MiB
+  DenseGrid3<float> g;
+  EXPECT_THROW(g.allocate(Extent3{0, kMax, 0, kMax, 0, kMax}),
+               util::MemoryBudgetExceeded);
+  EXPECT_THROW(g.allocate(Extent3{0, kMax, 0, kMax, 0, kMax},
+                          RowPad::kCacheLine),
+               util::MemoryBudgetExceeded);
+  EXPECT_FALSE(g.allocated());
 }
 
 TEST(DenseGrid, DoubleGridBytesAreLarger) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <memory>
 #include <string>
@@ -310,6 +311,34 @@ TEST(Incremental, TableCachesPersistAcrossBatches) {
     EXPECT_EQ(inc.stats().table_lookups, kAdds * lookups);
     EXPECT_LE(inc.stats().table_fills, static_cast<std::uint64_t>(P));
   }
+}
+
+// Each ingest worker's table cache starts at 16 slots and grows only when a
+// key comes back to the slot that evicted it. Added once each, the events
+// of a seeded uniform continuous feed repeat no offset, so a two-worker
+// engine ends 20 batches at 2 x 16 slots; the same feed snapped to a
+// 1/8-voxel lattice (64 offsets) makes the caches grow.
+TEST(Incremental, TableCachesGrowOnlyWhenOffsetsRecur) {
+  const DomainSpec dom{0.0, 0.0, 0.0, 24.0, 20.0, 16.0, 1.0, 1.0};
+  Params params;
+  params.hs = 3.0;
+  params.ht = 2.0;
+  const PointSet feed = data::generate_uniform(dom, 4000, 3);
+  const PointSet lattice = data::snap_to_lattice(feed, dom, 8);
+  StreamConfig cfg;
+  cfg.threads = 2;
+  IncrementalEstimator cont(dom, params, cfg), snapped(dom, params, cfg);
+  constexpr std::size_t kBatches = 20, kBatch = 200;
+  for (std::size_t b = 0; b < kBatches; ++b) {
+    const auto lo = static_cast<std::ptrdiff_t>(b * kBatch);
+    const auto hi = lo + static_cast<std::ptrdiff_t>(kBatch);
+    cont.add(PointSet(feed.begin() + lo, feed.begin() + hi));
+    snapped.add(PointSet(lattice.begin() + lo, lattice.begin() + hi));
+  }
+  EXPECT_EQ(cont.stats().table_slots, 32u);
+  EXPECT_EQ(cont.stats().table_fills, cont.stats().table_lookups);
+  EXPECT_GT(snapped.stats().table_slots, 32u);
+  EXPECT_LT(snapped.stats().table_fills, snapped.stats().table_lookups / 2);
 }
 
 TEST(Incremental, ShardedSingleBatchMatchesBatchEstimate) {

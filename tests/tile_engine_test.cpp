@@ -12,11 +12,15 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/detail/common.hpp"
 #include "core/detail/tile_scatter.hpp"
 #include "helpers.hpp"
 #include "partition/tile_order.hpp"
+#include "util/rng.hpp"
 
 namespace stkde {
 namespace {
@@ -234,6 +238,134 @@ TEST(TileCache, NegativeZeroOffsetsShareTheExactKey) {
   EXPECT_EQ(fills, 1);
 }
 
+// --- Cache growth ------------------------------------------------------------
+//
+// On a unit-resolution domain at the origin, a point at voxel (cx, cy) plus a
+// dyadic offset (i/q, j/q) keys the cache exactly on (i/q, j/q), so a q x q
+// lattice is q^2 keys wherever its points fall.
+
+const DomainSpec kCacheDomain{0.0, 0.0, 0.0, 64.0, 64.0, 8.0, 1.0, 1.0};
+
+Point lattice_point(util::Xoshiro256& rng, std::uint64_t q) {
+  const auto cell = [&] {
+    return static_cast<double>(rng.below(64)) +
+           static_cast<double>(rng.below(q)) / static_cast<double>(q);
+  };
+  return Point{cell(), cell(), 4.0};  // braced: evaluated left to right
+}
+
+std::vector<Point> lattice_feed(std::uint64_t q, std::size_t n,
+                                std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<Point> feed(n);
+  for (Point& p : feed) p = lattice_point(rng, q);
+  return feed;
+}
+
+TEST(TileCache, NeverRecurringOffsetsKeepSixteenSlots) {
+  // Continuous coordinates never repeat an offset, so no evicted key ever
+  // comes back: the cache stays at its first 16 slots and fills every time.
+  constexpr std::int32_t Hs = 3;
+  const VoxelMapper map(kCacheDomain);
+  const kernels::EpanechnikovKernel k;
+  kernels::SpatialTableCache cache(Hs);
+  ASSERT_EQ(cache.slots(), 16u);
+  util::Xoshiro256 rng(7);
+  int fills = 0;
+  constexpr int kLookups = 10000;
+  for (int i = 0; i < kLookups; ++i) {
+    const Point p{rng.uniform(0.0, 64.0), rng.uniform(0.0, 64.0), 4.0};
+    fills += cache.lookup(k, map, p, 3.0, Hs).filled ? 1 : 0;
+  }
+  EXPECT_EQ(fills, kLookups);
+  EXPECT_EQ(cache.slots(), 16u);
+}
+
+TEST(TileCache, LatticeFeedsGrowUntilTheyHit) {
+  // A 16-slot cache would hit ~75 %, 25 % and 6 % of these feeds; grown on
+  // conflict misses it keeps nearly every key of each lattice.
+  constexpr std::int32_t Hs = 3;
+  const VoxelMapper map(kCacheDomain);
+  const kernels::EpanechnikovKernel k;
+  for (const std::uint64_t q : {4u, 8u, 16u}) {
+    SCOPED_TRACE(std::to_string(q * q) + " keys");
+    kernels::SpatialTableCache cache(Hs);
+    constexpr int kLookups = 60000;
+    int fills = 0;
+    for (const Point& p : lattice_feed(q, kLookups, 11 + q))
+      fills += cache.lookup(k, map, p, 3.0, Hs).filled ? 1 : 0;
+    EXPECT_GT(cache.slots(), 16u);
+    EXPECT_GE(1.0 - static_cast<double>(fills) / kLookups, 0.95);
+  }
+}
+
+TEST(TileCache, HeldTablesHitRightAfterAGrow) {
+  // At every grow in the first 3 000 lookups of a 64-key feed, the tables
+  // held just before the grow still hit right after it, all but at most
+  // one: the growing lookup fills its own key into the grown array, where
+  // it displaces the table that shares its new slot. A probe that misses
+  // changes the cache, so each probe runs on a fresh replay of the feed.
+  constexpr std::int32_t Hs = 3;
+  const VoxelMapper map(kCacheDomain);
+  const kernels::EpanechnikovKernel k;
+  const std::vector<Point> feed = lattice_feed(8, 3000, 5);
+  const auto hits_after = [&](std::size_t end, const Point& key) {
+    kernels::SpatialTableCache replay(Hs);
+    for (std::size_t j = 0; j < end; ++j)
+      (void)replay.lookup(k, map, feed[j], 3.0, Hs);
+    return !replay.lookup(k, map, key, 3.0, Hs).filled;
+  };
+  std::vector<std::size_t> grows;
+  kernels::SpatialTableCache cache(Hs);
+  for (std::size_t i = 0; i < feed.size(); ++i) {
+    const std::size_t before = cache.slots();
+    (void)cache.lookup(k, map, feed[i], 3.0, Hs);
+    if (cache.slots() != before) grows.push_back(i);
+  }
+  ASSERT_GE(grows.size(), 3u);
+  int carried = 0;
+  for (const std::size_t i : grows) {
+    SCOPED_TRACE("grow at lookup " + std::to_string(i));
+    int held = 0, missed = 0;
+    for (std::uint64_t key = 0; key < 64; ++key) {
+      const Point p{static_cast<double>(key % 8) / 8.0,
+                    static_cast<double>(key / 8) / 8.0, 4.0};
+      if (!hits_after(i, p)) continue;  // not held before the grow
+      ++held;
+      if (!hits_after(i + 1, p)) ++missed;
+    }
+    EXPECT_GT(held, 0);
+    EXPECT_LE(missed, 1);
+    carried += held - missed;
+  }
+  EXPECT_GE(carried, 30);
+}
+
+TEST(TileCache, SlotsStopAtTheByteBudget) {
+  // kBudgetBytes over one (2Hs+1)^2 table's bytes, clamped to
+  // [16, 65 536]: a feed of 4 096 keys keeps conflicting until the cache
+  // reaches that count, and it never grows past it.
+  const kernels::EpanechnikovKernel k;
+  const VoxelMapper map(kCacheDomain);
+  const std::vector<std::pair<std::int32_t, std::size_t>> caps = {
+      {1, 65536}, {3, 32263}, {8, 6875}, {24, 867}};
+  for (const auto& [Hs, cap] : caps) {
+    SCOPED_TRACE("Hs=" + std::to_string(Hs));
+    kernels::SpatialTableCache cache(Hs);
+    util::Xoshiro256 rng(static_cast<std::uint64_t>(Hs));
+    std::size_t peak = 0;
+    int after_cap = 0;
+    for (int i = 0; i < 400000 && after_cap < 2000; ++i) {
+      (void)cache.lookup(k, map, lattice_point(rng, 64),
+                         static_cast<double>(Hs), Hs);
+      peak = std::max(peak, cache.slots());
+      if (cache.slots() == cap) ++after_cap;
+    }
+    EXPECT_EQ(peak, cap);
+    EXPECT_EQ(cache.slots(), cap);
+  }
+}
+
 TEST(TileEngine, ExactCacheHitsOnLatticeData) {
   // The exact-keyed cache hits when data is recorded at fixed resolution:
   // identical offsets have identical bit patterns.
@@ -269,6 +401,17 @@ TEST_P(CachedStrategyTest, DiagnosticsAreConsistent) {
   const double hr = r.diag.table_cache_hit_rate();
   EXPECT_GE(hr, 0.0);
   EXPECT_LE(hr, 1.0);
+}
+
+// Each worker's cache starts at 16 slots and grows at most to the byte
+// budget's count, 21 620 slots at Hs = 4; the run reports their sum.
+TEST_P(CachedStrategyTest, ReportsItsWorkersTableSlots) {
+  TinyInstance t = make_tiny(120, 4, 2);
+  t.params.threads = 2;
+  t.params.tile.threads = 2;
+  const Result r = estimate(t.points, t.domain, t.params, GetParam());
+  EXPECT_GE(r.diag.table_slots, 2 * 16);
+  EXPECT_LE(r.diag.table_slots, 2 * 21620);
 }
 
 INSTANTIATE_TEST_SUITE_P(

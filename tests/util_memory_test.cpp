@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <limits>
+#include <new>
+
 #include "helpers.hpp"
 
 namespace stkde::util {
@@ -44,6 +48,13 @@ TEST(MemoryBudget, RequireAboveLimitThrowsTyped) {
     EXPECT_EQ(e.budget(), 1u << 20);
     EXPECT_NE(std::string(e.what()).find("memory budget"), std::string::npos);
   }
+}
+
+TEST(AllocateAligned, ByteCountOverflowThrows) {
+  // n * sizeof(T) would wrap to a small request.
+  const std::size_t n = (std::numeric_limits<std::size_t>::max() >> 2) + 2;
+  EXPECT_THROW((void)allocate_aligned<float>(n), std::bad_array_new_length);
+  EXPECT_THROW((void)allocate_aligned<double>(n), std::bad_array_new_length);
 }
 
 TEST(MemoryBudget, ScopedOverrideRestores) {
